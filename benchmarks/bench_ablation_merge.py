@@ -127,7 +127,6 @@ def test_ablation_merge_payload_sweep(benchmark):
         (_, cores), = scaled_cores(dataset, [paper_cores])
         res = SpatialSparkDBSCAN(
             EPS, MINPTS, num_partitions=cores, keep_partials=True,
-            neighbor_mode="batched",
         ).fit(g.points)
         partials = sorted(res.partials, key=lambda c: c.members[0])
 

@@ -4,7 +4,7 @@ The worker-telemetry layer (task spans, resource profiling) rides the
 executor hot path, so its cost budget is explicit: tracing + profiling
 must stay within a few percent of the plain run, and the clustering
 must be byte-identical — observability that changes the observed system
-is worthless.  Three configurations of the same job:
+is worthless.  Four configurations of the same job:
 
 - **plain**    — NULL_TRACER, no profiling (the production fast path:
   one thread-local read per instrumentation site);
@@ -12,12 +12,11 @@ is worthless.  Three configurations of the same job:
   sub-phase spans (`task.expand`, `task.kdtree_query`, ...) recorded in
   the workers and merged into the driver trace;
 - **profiled** — traced plus per-task resource profiling (CPU clock +
-  getrusage high-water reads bracketing every task).
-
-A `MetricsRegistry` is deliberately *not* part of this ablation: a
-registry switches the executor to the instrumented operation-counting
-kernel (`_expand_counted`, Section III-B counts), whose ~25% cost is a
-pre-existing, separately-documented trade — not span/profile overhead.
+  getrusage high-water reads bracketing every task);
+- **registry** — no tracer, but a `MetricsRegistry` attached: executors
+  ship their Section III-B `OpCounters` through a second accumulator.
+  The counts are derived from tallies the one expansion kernel keeps
+  anyway (DESIGN.md §6), so this runs the same code as **plain**.
 
 Rounds are interleaved with the configuration order rotated every
 round (running the same config in the same slot every time bakes
@@ -35,7 +34,7 @@ import numpy as np
 
 from repro.data import EPS, MINPTS, make_dataset
 from repro.dbscan import SparkDBSCAN
-from repro.obs import NULL_TRACER, Tracer, TraceReport
+from repro.obs import NULL_TRACER, MetricsRegistry, Tracer, TraceReport
 
 from _harness import print_table, save_results
 
@@ -46,15 +45,14 @@ ROUNDS = 5
 #: run-to-run noise floor of the whole job on shared hardware is ±10%+
 #: (identical configs differ by that much back to back) — the budget
 #: catches a real per-point instrumentation cost (which would show up
-#: as 2x+, like the opt-in counted kernel does) without flaking on
-#: scheduler jitter.
+#: as 2x+) without flaking on scheduler jitter.
 OVERHEAD_BUDGET = 0.15
 
 
-def _fit(points, tracer, profile):
+def _fit(points, tracer, profile, registry=None):
     model = SparkDBSCAN(
-        EPS, MINPTS, num_partitions=PARTITIONS, neighbor_mode="batched",
-        tracer=tracer, profile=profile,
+        EPS, MINPTS, num_partitions=PARTITIONS,
+        tracer=tracer, profile=profile, metrics_registry=registry,
     )
     t0 = time.perf_counter()
     res = model.fit(points)
@@ -65,9 +63,10 @@ def test_ablation_telemetry_overhead(benchmark):
     g = make_dataset("c100k")
 
     configs = [
-        ("plain", lambda: (NULL_TRACER, False)),
-        ("traced", lambda: (Tracer(), False)),
-        ("profiled", lambda: (Tracer(), True)),
+        ("plain", lambda: (NULL_TRACER, False, None)),
+        ("traced", lambda: (Tracer(), False, None)),
+        ("profiled", lambda: (Tracer(), True, None)),
+        ("registry", lambda: (NULL_TRACER, False, MetricsRegistry())),
     ]
 
     walls: dict[str, float] = {name: float("inf") for name, _ in configs}
@@ -77,8 +76,8 @@ def test_ablation_telemetry_overhead(benchmark):
         # Rotate who goes first so ordering bias cancels across rounds.
         order = configs[r % len(configs):] + configs[:r % len(configs)]
         for name, make in order:
-            tracer, profile = make()
-            wall, res = _fit(g.points, tracer, profile)
+            tracer, profile, registry = make()
+            wall, res = _fit(g.points, tracer, profile, registry)
             walls[name] = min(walls[name], wall)
             labels[name] = res.labels
             if name == "profiled":
@@ -100,11 +99,11 @@ def test_ablation_telemetry_overhead(benchmark):
     save_results("ablation_telemetry", payload)
 
     # Observability must not change the answer: labels byte-identical.
-    assert np.array_equal(labels["plain"], labels["traced"])
-    assert np.array_equal(labels["plain"], labels["profiled"])
+    for name in ("traced", "profiled", "registry"):
+        assert np.array_equal(labels["plain"], labels[name])
 
     # ...and must not meaningfully change the cost.
-    for name in ("traced", "profiled"):
+    for name in ("traced", "profiled", "registry"):
         overhead = walls[name] / walls["plain"] - 1.0
         assert overhead < OVERHEAD_BUDGET, (
             f"{name} run is {overhead:+.1%} over plain "

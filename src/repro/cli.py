@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from repro.dbscan.merge import MERGE_MODES, MERGE_STRATEGIES
-from repro.dbscan.partial import NEIGHBOR_MODES, SEED_POLICIES
+from repro.dbscan.partial import SEED_POLICIES
 
 ALGORITHMS = ("spark", "sequential", "naive", "mapreduce", "spatial")
 
@@ -83,7 +83,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         from repro.dbscan import dbscan_sequential
 
         result = dbscan_sequential(points, args.eps, args.minpts,
-                                   neighbor_mode=args.neighbor_mode,
                                    tracer=tracer)
     elif args.algorithm == "spark":
         from repro.dbscan import SparkDBSCAN
@@ -91,7 +90,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         result = SparkDBSCAN(args.eps, args.minpts,
                              num_partitions=args.partitions,
                              master=args.master,
-                             neighbor_mode=args.neighbor_mode,
                              merge_mode=args.merge_mode,
                              tracer=tracer,
                              metrics_registry=registry,
@@ -104,7 +102,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         result = SpatialSparkDBSCAN(args.eps, args.minpts,
                                     num_partitions=args.partitions,
                                     master=args.master,
-                                    neighbor_mode=args.neighbor_mode,
                                     merge_mode=args.merge_mode,
                                     tracer=tracer,
                                     metrics_registry=registry,
@@ -176,7 +173,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             max_neighbors=args.max_neighbors,
             min_cluster_size=args.min_cluster_size,
             leaf_size=args.leaf_size,
-            neighbor_mode=args.neighbor_mode,
             partitioning=args.partitioning,
             merge_mode=args.merge_mode,
             impl=args.impl,
@@ -247,8 +243,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
     def run(p: int):
         """Execute the given tasks, yielding outcomes as they complete."""
-        res = SparkDBSCAN(args.eps, args.minpts, num_partitions=p,
-                          neighbor_mode=args.neighbor_mode).fit(
+        res = SparkDBSCAN(args.eps, args.minpts, num_partitions=p).fit(
             points, tree=tree
         )
         return res.timings.executor_max, res.timings.driver_time, \
@@ -294,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how partials reach the driver: whole point lists "
                         "(partials) or compact digests with a distributed "
                         "relabel pass (edges); labels are identical")
-    c.add_argument("--neighbor-mode", choices=NEIGHBOR_MODES, default="per_point",
-                   help="executor neighbourhood kernel (batched = vectorised fast path; "
-                        "only spark/spatial/sequential honour it)")
     c.add_argument("--labels-out", default=None)
     c.add_argument("--trace-out", default=None, metavar="FILE",
                    help="write a span trace (Chrome trace-event JSON lines, "
@@ -339,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--max-neighbors", type=int, default=None)
     r.add_argument("--min-cluster-size", type=int, default=0)
     r.add_argument("--leaf-size", type=int, default=64)
-    r.add_argument("--neighbor-mode", choices=NEIGHBOR_MODES, default="per_point")
     r.add_argument("--partitioning", choices=("range", "cells"), default="range",
                    help="spark-only: 'cells' swaps in the cell plan "
                         "(partition-local indexes, eps-halo, no broadcast)")
@@ -374,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eps", type=float, default=25.0)
     s.add_argument("--minpts", type=int, default=5)
     s.add_argument("--cores", type=int, nargs="+", default=[2, 4, 8])
-    s.add_argument("--neighbor-mode", choices=NEIGHBOR_MODES, default="per_point")
     s.set_defaults(func=cmd_scaling)
 
     h = sub.add_parser("history", help="summarise an engine event log")
@@ -419,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="engine master; default simulated[partitions]")
     pr.add_argument("--partitioning", choices=("range", "cells"),
                     default="range")
-    pr.add_argument("--neighbor-mode", choices=NEIGHBOR_MODES,
-                    default="batched")
     pr.add_argument("--merge-mode", choices=MERGE_MODES, default="partials")
     pr.add_argument("--repeat", type=int, default=3,
                     help="repetitions; time measures take the min (default 3)")
@@ -548,7 +536,8 @@ def cmd_perf_run(args: argparse.Namespace) -> int:
         "minpts": args.minpts,
         "partitions": args.partitions,
         "partitioning": args.partitioning,
-        "neighbor_mode": args.neighbor_mode,
+        # The one executor kernel; kept so existing baselines match.
+        "neighbor_mode": "batched",
         "master": args.master or f"simulated[{args.partitions}]",
         "scale": os.environ.get("REPRO_SCALE", "default"),
     }
@@ -568,7 +557,6 @@ def cmd_perf_run(args: argparse.Namespace) -> int:
         SparkDBSCAN(args.eps, args.minpts,
                     num_partitions=args.partitions,
                     master=args.master,
-                    neighbor_mode=args.neighbor_mode,
                     partitioning=args.partitioning,
                     merge_mode=args.merge_mode,
                     tracer=tracer,

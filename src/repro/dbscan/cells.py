@@ -18,10 +18,11 @@ the dDBGSCAN family show the production shape, built here:
    eps-neighbourhood locally, and each executor builds a kd-tree over
    only (owned + halo) points: no executor ever holds a global index.
 4. **`cell_local_dbscan`** — the SEED expansion (Algorithm 2 lines
-   4-29) over a partition payload: owned points expand, halo points are
-   recorded as SEEDs exactly like foreign points in the index-range
-   plan, and the unchanged union-find merge (Algorithm 4) stitches the
-   partial clusters over those halo edges.
+   4-29) over a partition payload, run by the same row kernel as the
+   index-range plan: owned points expand, halo points are recorded as
+   SEEDs exactly like foreign points there, and the unchanged
+   union-find merge (Algorithm 4) stitches the partial clusters over
+   those halo edges.
 
 Determinism contract (tests/pipeline/test_cell_plan.py): partitions
 scan their owned points in ascending global index, and the collect
@@ -40,10 +41,11 @@ import numpy as np
 
 from ..kdtree import KDTree
 from .partial import (
-    NEIGHBOR_MODES,
     SEED_POLICIES,
     OpCounters,
     PartialCluster,
+    _expand_rows,
+    _rows_with_any,
 )
 
 #: Relative slack on the eps comparison used by the halo filter only.
@@ -291,24 +293,24 @@ def cell_local_dbscan(
     leaf_size: int = 64,
     seed_policy: str = "all",
     max_neighbors: int | None = None,
-    neighbor_mode: str = "batched",
     counters: OpCounters | None = None,
     boundary_out: set[int] | None = None,
 ) -> list[PartialCluster]:
     """SEED expansion over one cell partition's (owned + halo) points.
 
-    Builds a kd-tree over the local payload only, expands owned points
-    (in ascending global index, like `local_dbscan` over a range), and
-    records reached halo points as SEEDs for the driver merge.  The halo
+    Builds a kd-tree over the local payload only, answers every owned
+    point's neighbourhood in one batch query, and runs the range plan's
+    row kernel over local ids: owned points (local id < n_own, ascending
+    global index) expand, reached halo points become SEEDs.  The halo
     makes every owned point's eps-neighbourhood complete locally, so
     core status and memberships match the global-tree computation
     exactly.  ``lo``/``hi`` on the emitted partials are 0: cell
     partitions are not contiguous ranges (`PartialCluster.owns` is a
     range check and does not apply).
 
-    ``boundary_out``, when given, collects *global* ids of queried owned
-    points with ≥1 halo neighbour within eps — the export candidates of
-    the edge-based merge (DESIGN.md §11).  The eps-halo over-approximates
+    ``boundary_out``, when given, collects *global* ids of owned points
+    with ≥1 halo neighbour within eps — the export candidates of the
+    edge-based merge (DESIGN.md §11).  The eps-halo over-approximates
     slightly (HALO_SLACK), which only widens this set; the seed/export
     join never probes the extras.
     """
@@ -316,153 +318,33 @@ def cell_local_dbscan(
         raise ValueError(
             f"seed_policy must be one of {SEED_POLICIES}, got {seed_policy!r}"
         )
-    if neighbor_mode not in NEIGHBOR_MODES:
-        raise ValueError(
-            f"neighbor_mode must be one of {NEIGHBOR_MODES}, got {neighbor_mode!r}"
-        )
     n_own = int(len(payload.owned_ids))
     if n_own == 0:
         return []
     from ..obs.collect import task_span
 
-    if len(payload.halo_ids):
+    n_halo = int(len(payload.halo_ids))
+    if n_halo:
         local_points = np.vstack([payload.owned_points, payload.halo_points])
     else:
         local_points = payload.owned_points
-    with task_span("task.kdtree_build", n_own=n_own,
-                   n_halo=int(len(payload.halo_ids))):
+    with task_span("task.kdtree_build", n_own=n_own, n_halo=n_halo):
         tree = KDTree(local_points, leaf_size=leaf_size)
-
-    if neighbor_mode == "batched":
-        # Phase A: every owned neighbourhood in one vectorised call.
-        with task_span("task.kdtree_query", n=n_own):
-            indptr, indices = tree.query_radius_batch(
-                local_points[:n_own], eps, max_neighbors
-            )
-        if counters is not None:
-            counters.range_queries += n_own
-        if boundary_out is not None:
-            # A row is boundary iff any neighbour is a halo point (local
-            # id >= n_own); cumsum-of-flags handles empty rows.
-            halo_flag = indices >= n_own
-            cs = np.concatenate(([0], np.cumsum(halo_flag)))
-            rows = np.flatnonzero(cs[indptr[1:]] > cs[indptr[:-1]])
-            boundary_out.update(np.asarray(payload.owned_ids)[rows].tolist())
-
-        def neigh_of(k: int) -> np.ndarray:
-            return indices[indptr[k]:indptr[k + 1]]
-    else:
-        owned_ids_arr = np.asarray(payload.owned_ids)
-
-        def neigh_of(k: int) -> np.ndarray:
-            if counters is not None:
-                counters.range_queries += 1
-            row = tree.query_radius(local_points[k], eps, max_neighbors)
-            if (
-                boundary_out is not None
-                and row.size
-                and bool((row >= n_own).any())
-            ):
-                boundary_out.add(int(owned_ids_arr[k]))
-            return row
-
-    return _expand_cells(payload, neigh_of, n_own, minpts, seed_policy, counters)
-
-
-def _expand_cells(
-    payload: CellPayload,
-    neigh_of,
-    n_own: int,
-    minpts: int,
-    seed_policy: str,
-    counters: OpCounters | None,
-) -> list[PartialCluster]:
-    """The BFS/SEED loop of `_expand`, over local (owned + halo) ids.
-
-    Local ids < n_own are owned (classic expansion); the rest are halo
-    points, handled exactly like foreign points in the index-range plan:
-    recorded as SEEDs, never expanded — their home partition computes
-    their neighbourhoods.
-    """
-    from collections import deque
-
-    owned_ids = payload.owned_ids
-    halo_ids = payload.halo_ids
-    halo_home = payload.halo_home
-    visited = np.zeros(n_own, dtype=bool)
-    assigned = np.zeros(n_own, dtype=bool)
-    core = np.zeros(n_own, dtype=bool)
-    partials: list[PartialCluster] = []
-
-    for k in range(n_own):
-        if counters is not None:
-            counters.hashtable_lookups += 1
-        if visited[k]:
-            continue
-        visited[k] = True
-        neigh = neigh_of(k)
-        if counters is not None:
-            counters.hashtable_puts += 1
-        if len(neigh) < minpts:
-            continue  # noise unless claimed later as a border point
-        core[k] = True
-        cluster = PartialCluster(
-            partition=payload.partition, local_id=len(partials),
-            lo=0, hi=0, members=[int(owned_ids[k])],
+    with task_span("task.kdtree_query", n=n_own):
+        indptr, indices = tree.query_radius_batch(
+            local_points[:n_own], eps, max_neighbors
         )
-        assigned[k] = True
-        if counters is not None:
-            counters.hashtable_puts += 1
-        seeds_by_partition: dict[int, int] = {}
-        seed_set: set[int] = set()
-        queue: deque[int] = deque(int(x) for x in neigh)
-        if counters is not None:
-            counters.queue_adds += len(neigh)
-        while queue:
-            p = queue.popleft()
-            if counters is not None:
-                counters.queue_removes += 1
-            if p < n_own:
-                if counters is not None:
-                    counters.hashtable_lookups += 1
-                if not visited[p]:
-                    visited[p] = True
-                    if counters is not None:
-                        counters.hashtable_puts += 1
-                    neigh2 = neigh_of(p)
-                    if len(neigh2) >= minpts:
-                        core[p] = True
-                        queue.extend(int(x) for x in neigh2)
-                        if counters is not None:
-                            counters.queue_adds += len(neigh2)
-                if counters is not None:
-                    counters.hashtable_lookups += 1
-                if not assigned[p]:
-                    assigned[p] = True
-                    if counters is not None:
-                        counters.hashtable_puts += 1
-                    g = int(owned_ids[p])
-                    cluster.members.append(g)
-                    if not core[p]:
-                        cluster.borders.add(g)
-            else:
-                h = p - n_own
-                g = int(halo_ids[h])
-                if g in seed_set:
-                    continue
-                if seed_policy == "one_per_partition":
-                    par = int(halo_home[h])
-                    if par in seeds_by_partition:
-                        if counters is not None:
-                            counters.seeds_skipped += 1
-                        continue
-                    seeds_by_partition[par] = g
-                seed_set.add(g)
-                cluster.seeds.append(g)
-                if counters is not None:
-                    counters.seeds_placed += 1
-        partials.append(cluster)
-    return partials
+    if boundary_out is not None:
+        rows = _rows_with_any(indptr, indices >= n_own)
+        boundary_out.update(payload.owned_ids[rows].tolist())
+    halo_home = payload.halo_home
+    return _expand_rows(
+        payload.partition, range(n_own), indptr, indices, 0, n_own, minpts,
+        seed_policy, n_entries=n_own + n_halo,
+        home_of=lambda e: int(halo_home[e - n_own]),
+        num_homes=len(np.unique(halo_home)), counters=counters,
+        owned_ids=payload.owned_ids, halo_ids=payload.halo_ids,
+    )
 
 
 __all__ = [

@@ -8,6 +8,13 @@ driver discover which partial clusters belong to the same global
 cluster.  No executor⇄executor communication ever happens: that is the
 paper's central design point.
 
+The executor answers all of its owned points' eps-neighbourhoods with one
+batch kd-tree query, then runs the expansion over the stored CSR rows in
+`_expand_rows` — the one SEED expansion loop, shared with the cell plan
+(`repro.dbscan.cells.cell_local_dbscan`).  It derives the Section III-B
+operation counts from its own tallies, so counted and plain runs execute
+the same code (DESIGN.md §6).
+
 Seed policies (DESIGN.md §4):
 
 - ``"all"`` (default): every foreign point reached is recorded as a
@@ -33,14 +40,11 @@ from ..kdtree import KDTree
 
 SEED_POLICIES = ("all", "one_per_partition")
 
-#: How the executor obtains eps-neighbourhoods (DESIGN.md §6):
-#:
-#: - ``"per_point"``: one kd-tree walk per BFS pop (the paper's loop).
-#: - ``"batched"``: phase A answers every owned point's neighbourhood in
-#:   one vectorised kernel call (`KDTree.query_radius_batch`) and stores
-#:   them in CSR arrays; phase B runs the identical BFS/SEED expansion
-#:   over the precomputed rows with no per-pop tree queries.
-NEIGHBOR_MODES = ("per_point", "batched")
+#: How the executor obtains eps-neighbourhoods (``RunConfig.neighbor_mode``):
+#: phase A answers every owned point's neighbourhood in one vectorised
+#: kernel call (`KDTree.query_radius_batch`), phase B expands over the
+#: stored CSR rows (DESIGN.md §6).
+NEIGHBOR_MODES = ("batched",)
 
 
 @dataclass
@@ -137,7 +141,6 @@ def local_dbscan(
     seed_policy: str = "all",
     max_neighbors: int | None = None,
     counters: OpCounters | None = None,
-    neighbor_mode: str = "per_point",
     boundary_out: set[int] | None = None,
 ) -> list[PartialCluster]:
     """Build the partial clusters of one partition (Algorithm 2 lines 4–29).
@@ -147,339 +150,175 @@ def local_dbscan(
     Returns the partial clusters; noise is implicit (points of this
     partition that are members of no partial cluster anywhere).
 
-    Pass an `OpCounters` to collect the Section III-B operation counts
-    (range queries, queue adds/removes, hashtable puts/lookups).
+    Phase A answers every owned point's eps-neighbourhood with one
+    `KDTree.query_radius_batch` call; phase B runs the SEED expansion
+    over the stored CSR rows (`_expand_rows`).  Pass an `OpCounters` to
+    collect the Section III-B operation counts, derived from the same
+    run (DESIGN.md §6).
 
-    ``neighbor_mode="batched"`` precomputes every owned point's
-    eps-neighbourhood with one `KDTree.query_radius_batch` call (phase A)
-    and expands over the stored CSR rows (phase B).  The partial
-    clusters — members, member order, borders, seeds — are identical to
-    the per-point mode; ``range_queries`` counts the whole owned range
-    (which per-point mode also queries exactly once per point).
-
-    ``boundary_out``, when given, collects every *queried* owned point
-    that has at least one foreign neighbour within eps.  Intersected
-    with a partial cluster's members it yields exactly the points some
-    other partition can see as a SEED (eps-symmetry) — the export set
-    of the edge-based merge (DESIGN.md §11).  Requires
-    ``max_neighbors=None``: truncation breaks the symmetry argument.
+    ``boundary_out``, when given, collects every owned point that has at
+    least one foreign neighbour within eps.  Intersected with a partial
+    cluster's members it yields exactly the points some other partition
+    can see as a SEED (eps-symmetry) — the export set of the edge-based
+    merge (DESIGN.md §11).  Requires ``max_neighbors=None``: truncation
+    breaks the symmetry argument.
     """
     if seed_policy not in SEED_POLICIES:
         raise ValueError(f"seed_policy must be one of {SEED_POLICIES}, got {seed_policy!r}")
-    if neighbor_mode not in NEIGHBOR_MODES:
-        raise ValueError(
-            f"neighbor_mode must be one of {NEIGHBOR_MODES}, got {neighbor_mode!r}"
-        )
     lo, hi = partitioner.range_of(partition_id)
-    if neighbor_mode == "batched":
-        from ..obs.collect import task_span
+    from ..obs.collect import task_span
 
-        # Phase A: one shared-descent kernel call over the owned range.
-        with task_span("task.kdtree_query", n=hi - lo):
-            indptr, indices = tree.query_radius_batch(
-                points[lo:hi], eps, max_neighbors
-            )
-        if boundary_out is not None:
-            # A row is boundary iff any neighbour falls outside [lo, hi).
-            # cumsum-of-flags handles empty rows, unlike np.add.reduceat.
-            outside = (indices < lo) | (indices >= hi)
-            cs = np.concatenate(([0], np.cumsum(outside)))
-            rows = np.flatnonzero(cs[indptr[1:]] > cs[indptr[:-1]])
-            boundary_out.update((rows + lo).tolist())
-        if counters is None:
-            # Phase B fast path: row-at-a-time vectorised expansion.
-            return _expand_batched(
-                partition_id, own_indices, indptr, indices,
-                points.shape[0], lo, hi, minpts, partitioner, seed_policy,
-            )
-        # Instrumented runs replay the per-element loop over the stored
-        # rows so every Section III-B count is observed exactly.
-        counters.range_queries += hi - lo
-
-        def neigh_of(j: int) -> np.ndarray:
-            k = j - lo
-            return indices[indptr[k]:indptr[k + 1]]
-    elif counters is not None:
-        query = tree.query_radius
-
-        def neigh_of(j: int) -> np.ndarray:
-            counters.range_queries += 1
-            return query(points[j], eps, max_neighbors)
-    else:
-        query = tree.query_radius
-
-        def neigh_of(j: int) -> np.ndarray:
-            return query(points[j], eps, max_neighbors)
-
-    if boundary_out is not None and neighbor_mode != "batched":
-        # Per-point modes record boundary lazily: only visited points
-        # get queried, but every cluster member is visited, so the
-        # export set (boundary ∩ members) matches the batched mode.
-        inner = neigh_of
-
-        def neigh_of(j: int, _inner=inner) -> np.ndarray:
-            row = _inner(j)
-            if row.size and bool(((row < lo) | (row >= hi)).any()):
-                boundary_out.add(j)
-            return row
-
-    if counters is not None:
-        return _expand_counted(
-            partition_id, own_indices, neigh_of, lo, hi, minpts,
-            partitioner, seed_policy, counters,
-        )
-    return _expand(
-        partition_id, own_indices, neigh_of, lo, hi, minpts,
-        partitioner, seed_policy,
+    with task_span("task.kdtree_query", n=hi - lo):
+        indptr, indices = tree.query_radius_batch(points[lo:hi], eps, max_neighbors)
+    if boundary_out is not None:
+        foreign = (indices < lo) | (indices >= hi)
+        boundary_out.update((_rows_with_any(indptr, foreign) + lo).tolist())
+    return _expand_rows(
+        partition_id, own_indices, indptr, indices, lo, hi, minpts,
+        seed_policy, n_entries=points.shape[0],
+        home_of=partitioner.partition,
+        num_homes=partitioner.num_partitions - 1, counters=counters,
     )
 
 
-def _expand(
+def _rows_with_any(indptr: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Ids of the CSR rows holding at least one flagged entry.
+
+    A cumsum over the flags handles empty rows, unlike np.add.reduceat.
+    """
+    cs = np.concatenate(([0], np.cumsum(flags)))
+    return np.flatnonzero(cs[indptr[1:]] > cs[indptr[:-1]])
+
+
+def _expand_rows(
     partition_id: int,
-    own_indices: Iterable[int],
-    neigh_of: Callable[[int], np.ndarray],
-    lo: int,
-    hi: int,
-    minpts: int,
-    partitioner: IndexRangePartitioner,
-    seed_policy: str,
-) -> list[PartialCluster]:
-    """The BFS/SEED expansion (phase B), shared by both neighbour modes."""
-    # The paper's Hashtable: point index -> visited/assigned state.
-    visited: dict[int, bool] = {}
-    assignment: dict[int, int] = {}
-    core_flag: dict[int, bool] = {}
-    partials: list[PartialCluster] = []
-
-    for i in own_indices:
-        i = int(i)
-        if not lo <= i < hi:
-            raise ValueError(
-                f"index {i} handed to partition {partition_id} whose range is "
-                f"[{lo}, {hi}) — partitioning is inconsistent"
-            )
-        if i in visited:  # Algorithm 2 line 5: already in hashtable
-            continue
-        visited[i] = True
-        neigh = neigh_of(i)
-        if len(neigh) < minpts:
-            core_flag[i] = False
-            continue  # noise unless claimed later as a border point
-        core_flag[i] = True
-        cluster = PartialCluster(
-            partition=partition_id, local_id=len(partials), lo=lo, hi=hi, members=[i]
-        )
-        assignment[i] = cluster.local_id
-        seeds_by_partition: dict[int, int] = {}
-        seed_set: set[int] = set()
-        # The Queue N of Algorithm 2 (LinkedList in the paper's Java).
-        queue: deque[int] = deque(int(x) for x in neigh)
-        while queue:
-            p = queue.popleft()
-            if lo <= p < hi:
-                # Own point: classic expansion (Algorithm 2 lines 13–22).
-                if p not in visited:
-                    visited[p] = True
-                    neigh2 = neigh_of(p)
-                    if len(neigh2) >= minpts:
-                        core_flag[p] = True
-                        queue.extend(int(x) for x in neigh2)
-                    else:
-                        core_flag[p] = False
-                if p not in assignment:
-                    assignment[p] = cluster.local_id
-                    cluster.members.append(p)
-                    if not core_flag[p]:
-                        cluster.borders.add(p)
-            else:
-                # Foreign point: SEED placement (Algorithm 3).  Never
-                # expanded — its home executor computes its neighbourhood.
-                if p in seed_set:
-                    continue
-                if seed_policy == "one_per_partition":
-                    par = partitioner.partition(p)
-                    if par in seeds_by_partition:
-                        continue  # Algorithm 3 line 11: one seed placed already
-                    seeds_by_partition[par] = p
-                seed_set.add(p)
-                cluster.seeds.append(p)
-        partials.append(cluster)
-    return partials
-
-
-def _expand_batched(
-    partition_id: int,
-    own_indices: Iterable[int],
+    founders: Iterable[int],
     indptr: np.ndarray,
     indices: np.ndarray,
-    n_total: int,
     lo: int,
     hi: int,
     minpts: int,
-    partitioner: IndexRangePartitioner,
     seed_policy: str,
+    *,
+    n_entries: int,
+    home_of: Callable[[int], int],
+    num_homes: int,
+    counters: OpCounters | None = None,
+    owned_ids: np.ndarray | None = None,
+    halo_ids: np.ndarray | None = None,
 ) -> list[PartialCluster]:
-    """Phase B over precomputed CSR rows, vectorised row-at-a-time.
+    """The SEED expansion (Algorithms 2–3) over one partition's CSR rows.
 
-    Exactly equivalent to `_expand`: the flat FIFO queue pops a point's
-    whole neighbour row contiguously (expansions append at the back),
-    and rows never repeat an index, so processing one row's elements
-    against the row-start state with numpy masks visits, assigns, and
-    enqueues in the same order as the per-element loop.  The per-point
-    BFS therefore reduces to a queue of *row ids* — one numpy pass per
-    row instead of one Python iteration per neighbour.
+    Row ``k`` holds the eps-neighbourhood of the partition's ``k``-th
+    owned point.  A row entry ``e`` in ``[lo, hi)`` is *owned*: its row
+    is ``e - lo`` and it is expanded.  Any other entry is *foreign*: it
+    is recorded as a SEED and never expanded, because its home partition
+    computes its neighbourhood.  ``founders`` are owned entries, scanned
+    in order.  In the range plan entries are global ids.  In the cell
+    plan they are local ids (``lo = 0``, ``hi = n_own``) and each cluster
+    maps its members through ``owned_ids`` and its seeds through
+    ``halo_ids[e - hi]`` once, when it is complete.
+
+    Every owned point's core flag is known up front (its row length), so
+    the per-element BFS reduces to a FIFO of row ids: the paper's queue
+    pops a row's elements contiguously, and rows never repeat an entry,
+    so masking a whole row against the row-start state visits, assigns
+    and seeds in exactly the per-element order.  ``home_of(e)`` names a
+    foreign entry's partition and ``num_homes`` how many foreign
+    partitions exist; ``"one_per_partition"`` stops scanning a cluster's
+    rows for seeds once every one of them holds a seed.
+
+    The Section III-B counts fall out of tallies the loop keeps anyway:
+    the queue takes every entry of every expanded row, each owned entry
+    costs two hashtable lookups (visited, assigned) and each founder
+    one, and every visit or assignment is one put.
     """
     counts = np.diff(indptr)
     core = counts >= minpts            # every owned point, known up front
-    visited = np.zeros(hi - lo, dtype=bool)
-    assigned = np.zeros(hi - lo, dtype=bool)
-    partials: list[PartialCluster] = []
+    visited = np.zeros(len(counts), dtype=bool)
+    assigned = np.zeros(len(counts), dtype=bool)
     # Per-cluster foreign-seed dedup, reset via the seed list itself.
-    seen_seed = np.zeros(n_total, dtype=bool)
-    p_minus_1 = partitioner.num_partitions - 1
+    seen_seed = np.zeros(n_entries, dtype=bool)
+    capped = seed_policy == "one_per_partition"
+    # Cell partitions are not index ranges; their partials carry (0, 0).
+    bounds = (lo, hi) if owned_ids is None else (0, 0)
+    partials: list[PartialCluster] = []
+    scanned = queued = owned_entries = skipped = 0
 
-    for i in own_indices:
-        i = int(i)
-        if not lo <= i < hi:
+    for f in founders:
+        f = int(f)
+        scanned += 1
+        if not lo <= f < hi:
             raise ValueError(
-                f"index {i} handed to partition {partition_id} whose range is "
+                f"index {f} handed to partition {partition_id} whose range is "
                 f"[{lo}, {hi}) — partitioning is inconsistent"
             )
-        k = i - lo
+        k = f - lo
         if visited[k]:
             continue
         visited[k] = True
         if not core[k]:
             continue  # noise unless claimed later as a border point
-        cluster = PartialCluster(
-            partition=partition_id, local_id=len(partials), lo=lo, hi=hi, members=[i]
-        )
         assigned[k] = True
-        seeds_by_partition: dict[int, int] = {}
-        rows: deque[int] = deque([k])
-        while rows:
-            r = rows.popleft()
+        member_rows = [np.array([k])]
+        seeds: list[int] = []
+        homes: set[int] = set()
+        queue: deque[int] = deque([k])
+        while queue:
+            r = queue.popleft()
             row = indices[indptr[r]:indptr[r + 1]]
+            queued += row.size
             own_mask = (row >= lo) & (row < hi)
             own = row[own_mask] - lo
+            owned_entries += own.size
             newly = own[~visited[own]]
             visited[newly] = True
-            rows.extend(newly[core[newly]].tolist())
+            queue.extend(newly[core[newly]].tolist())
             join = own[~assigned[own]]
             assigned[join] = True
-            cluster.members.extend((join + lo).tolist())
-            cluster.borders.update((join[~core[join]] + lo).tolist())
+            member_rows.append(join)
             foreign = row[~own_mask]
             if foreign.size == 0:
                 continue
-            if seed_policy == "all":
-                # Row elements are distinct, so only cross-row dedup needed.
+            if not capped:
+                # Row entries are distinct, so only cross-row dedup needed.
                 new = foreign[~seen_seed[foreign]]
                 seen_seed[new] = True
-                cluster.seeds.extend(new.tolist())
-            elif len(seeds_by_partition) < p_minus_1:
-                # one_per_partition: caps fill fast; loop only until then.
+                seeds.extend(new.tolist())
+                continue
+            if len(homes) < num_homes:
                 for s in foreign.tolist():
                     if seen_seed[s]:
                         continue
-                    par = partitioner.partition(s)
-                    if par in seeds_by_partition:
-                        continue
-                    seeds_by_partition[par] = s
+                    home = home_of(s)
+                    if home in homes:
+                        continue  # Algorithm 3 line 11: one seed placed already
+                    homes.add(home)
                     seen_seed[s] = True
-                    cluster.seeds.append(s)
-                    if len(seeds_by_partition) == p_minus_1:
+                    seeds.append(s)
+                    if len(homes) == num_homes:
                         break
-        if cluster.seeds:
-            seen_seed[np.asarray(cluster.seeds)] = False
-        partials.append(cluster)
-    return partials
+            skipped += foreign.size - int(seen_seed[foreign].sum())
+        seed_entries = np.asarray(seeds, dtype=np.intp)
+        seen_seed[seed_entries] = False
+        rows = np.concatenate(member_rows)
+        members = rows + lo if owned_ids is None else owned_ids[rows]
+        seed_ids = seed_entries if halo_ids is None else halo_ids[seed_entries - hi]
+        partials.append(PartialCluster(
+            partition=partition_id, local_id=len(partials),
+            lo=bounds[0], hi=bounds[1], members=members.tolist(),
+            seeds=seed_ids.tolist(),
+            borders=set(members[~core[rows]].tolist()),
+        ))
 
-
-def _expand_counted(
-    partition_id: int,
-    own_indices: Iterable[int],
-    neigh_of: Callable[[int], np.ndarray],
-    lo: int,
-    hi: int,
-    minpts: int,
-    partitioner: IndexRangePartitioner,
-    seed_policy: str,
-    c: OpCounters,
-) -> list[PartialCluster]:
-    """Instrumented twin of the `_expand` hot loop.
-
-    Kept separate so the common path pays nothing for the counters;
-    tests assert both paths produce identical partial clusters.
-    ``range_queries`` is counted by the caller (inside ``neigh_of`` for
-    per-point mode, as one batch for batched mode).
-    """
-    visited: dict[int, bool] = {}
-    assignment: dict[int, int] = {}
-    core_flag: dict[int, bool] = {}
-    partials: list[PartialCluster] = []
-
-    for i in own_indices:
-        i = int(i)
-        if not lo <= i < hi:
-            raise ValueError(
-                f"index {i} handed to partition {partition_id} whose range is "
-                f"[{lo}, {hi}) — partitioning is inconsistent"
-            )
-        c.hashtable_lookups += 1
-        if i in visited:
-            continue
-        visited[i] = True
-        c.hashtable_puts += 1
-        neigh = neigh_of(i)
-        if len(neigh) < minpts:
-            core_flag[i] = False
-            continue
-        core_flag[i] = True
-        cluster = PartialCluster(
-            partition=partition_id, local_id=len(partials), lo=lo, hi=hi, members=[i]
-        )
-        assignment[i] = cluster.local_id
-        c.hashtable_puts += 1
-        seeds_by_partition: dict[int, int] = {}
-        seed_set: set[int] = set()
-        queue: deque[int] = deque(int(x) for x in neigh)
-        c.queue_adds += len(neigh)
-        while queue:
-            p = queue.popleft()
-            c.queue_removes += 1
-            if lo <= p < hi:
-                c.hashtable_lookups += 1
-                if p not in visited:
-                    visited[p] = True
-                    c.hashtable_puts += 1
-                    neigh2 = neigh_of(p)
-                    if len(neigh2) >= minpts:
-                        core_flag[p] = True
-                        queue.extend(int(x) for x in neigh2)
-                        c.queue_adds += len(neigh2)
-                    else:
-                        core_flag[p] = False
-                c.hashtable_lookups += 1
-                if p not in assignment:
-                    assignment[p] = cluster.local_id
-                    c.hashtable_puts += 1
-                    cluster.members.append(p)
-                    if not core_flag[p]:
-                        cluster.borders.add(p)
-            else:
-                if p in seed_set:
-                    continue
-                if seed_policy == "one_per_partition":
-                    par = partitioner.partition(p)
-                    if par in seeds_by_partition:
-                        c.seeds_skipped += 1
-                        continue
-                    seeds_by_partition[par] = p
-                seed_set.add(p)
-                cluster.seeds.append(p)
-                c.seeds_placed += 1
-        partials.append(cluster)
+    if counters is not None:
+        counters.range_queries += len(counts)
+        counters.queue_adds += queued
+        counters.queue_removes += queued
+        counters.hashtable_lookups += scanned + 2 * owned_entries
+        counters.hashtable_puts += int(visited.sum() + assigned.sum())
+        counters.seeds_placed += sum(len(c.seeds) for c in partials)
+        counters.seeds_skipped += skipped
     return partials
 
 

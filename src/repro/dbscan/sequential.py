@@ -14,7 +14,8 @@ head-to-head.
 As a pipeline composition this is the degenerate single-partition plan
 (`repro.pipeline.sequential_plan`): LoadPoints → BuildIndex →
 SequentialExpand, no engine, no merge.  The expansion kernels below are
-what `repro.pipeline.stages.SequentialExpand` calls.
+what `repro.pipeline.stages.SequentialExpand` calls, with ``neigh_of``
+reading the CSR rows of one batch neighbourhood query.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def dbscan_sequential(
     impl: str = "array",
     leaf_size: int = 64,
     max_neighbors: int | None = None,
-    neighbor_mode: str = "per_point",
+    neighbor_mode: str = "batched",
     tracer: Tracer | None = None,
     checkpoint_dir: str | None = None,
     resume: bool = False,
@@ -48,9 +49,9 @@ def dbscan_sequential(
     core-point threshold.  A prebuilt `KDTree` may be passed to skip
     construction (used when timing query cost separately).
 
-    ``neighbor_mode="batched"`` precomputes all n neighbourhoods with one
-    `KDTree.query_radius_batch` call before expanding; labels are
-    identical to the per-point mode.
+    All n neighbourhoods come from one `KDTree.query_radius_batch` call
+    before the Algorithm 1 loop reads them row by row.  ``neighbor_mode``
+    accepts only ``"batched"`` (see `RunConfig`).
     """
     config = RunConfig(
         eps=eps,

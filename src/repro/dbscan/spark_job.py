@@ -5,7 +5,8 @@ Driver side::
     1. read / receive points, build the kd-tree          (driver)
     2. broadcast tree + parameters                        (driver)
     3. parallelize point indices into p range partitions  (driver)
-    4. foreachPartition: local DBSCAN with SEED placement (executors)
+    4. foreachPartition: local DBSCAN with SEED placement (executors:
+       one batch neighbourhood query, then the row-at-a-time expansion)
     5. partial clusters flow back through an accumulator  (executors→driver)
     6. dig SEEDs, merge partial clusters                  (driver)
 
@@ -67,11 +68,6 @@ class SparkDBSCAN:
         ``"union_find"`` (default) or ``"paper"`` (Algorithm 4 literal).
     max_neighbors:
         Optional kd-tree pruning cap (the paper's r1m branch-pruning).
-    neighbor_mode:
-        ``"per_point"`` (one kd-tree walk per BFS pop, the paper's loop)
-        or ``"batched"`` (executors precompute all owned neighbourhoods
-        with one vectorised kernel call, then expand over CSR rows).
-        Results are identical; batched is the fast path (DESIGN.md §6).
     min_cluster_size:
         Drop partial clusters smaller than this before merging (the
         paper's r1m small-cluster filter).
@@ -99,7 +95,8 @@ class SparkDBSCAN:
     metrics_registry:
         `repro.obs.MetricsRegistry` receiving task metrics and the
         executors' `OpCounters` (collected through a second accumulator
-        only when a registry is present).
+        only when a registry is present; the executors run the same
+        kernel either way, DESIGN.md §6).
     checkpoint_dir, resume, fail_after:
         Per-stage checkpointing (DESIGN.md §9): with ``checkpoint_dir``
         set, checkpointable stages persist their outputs keyed by the
@@ -125,7 +122,6 @@ class SparkDBSCAN:
         min_cluster_size: int = 0,
         leaf_size: int = 64,
         keep_partials: bool = False,
-        neighbor_mode: str = "per_point",
         partitioning: str = "range",
         merge_mode: str = "partials",
         tracer: Tracer | None = None,
@@ -149,7 +145,6 @@ class SparkDBSCAN:
             min_cluster_size=min_cluster_size,
             leaf_size=leaf_size,
             keep_partials=keep_partials,
-            neighbor_mode=neighbor_mode,
             partitioning=partitioning,
             merge_mode=merge_mode,
             sanitize=sanitize,

@@ -46,7 +46,6 @@ HASHED_FIELDS = (
     "max_neighbors",
     "min_cluster_size",
     "leaf_size",
-    "neighbor_mode",
     "impl",
     "max_rounds",
     "startup_overhead",
@@ -76,7 +75,9 @@ class RunConfig:
     min_cluster_size: int = 0
     leaf_size: int = 64
     keep_partials: bool = False
-    neighbor_mode: str = "per_point"
+    #: Only ``"batched"`` exists (DESIGN.md §6); a single-valued field,
+    #: so it is not hashed.
+    neighbor_mode: str = "batched"
     partitioning: str = "range"
     #: How partial clusters reach the driver: ``"partials"`` ships whole
     #: point lists (the paper's path); ``"edges"`` ships digests and
@@ -121,7 +122,10 @@ class RunConfig:
         if self.merge_strategy not in MERGE_STRATEGIES:
             raise ValueError(f"unknown merge_strategy {self.merge_strategy!r}")
         if self.neighbor_mode not in NEIGHBOR_MODES:
-            raise ValueError(f"unknown neighbor_mode {self.neighbor_mode!r}")
+            raise ValueError(
+                f"unknown neighbor_mode {self.neighbor_mode!r}; "
+                f"must be one of {NEIGHBOR_MODES}"
+            )
         if self.partitioning not in PARTITIONINGS:
             raise ValueError(f"unknown partitioning {self.partitioning!r}")
         if self.partitioning == "cells" and self.algorithm != "spark":

@@ -255,7 +255,6 @@ class LocalExpand(Stage):
         partitioner = state.partitioner
         eps, minpts = cfg.eps, cfg.minpts
         seed_policy, max_neighbors = cfg.seed_policy, cfg.max_neighbors
-        neighbor_mode = cfg.neighbor_mode
         tree_b, acc, counters_acc = state.tree_b, state.acc, state.counters_acc
         collect_counters = counters_acc is not None
         track_boundary = self.emit == "edges"
@@ -268,14 +267,11 @@ class LocalExpand(Stage):
                 bsp.annotate(n=len(t.points))
             counters = OpCounters() if collect_counters else None
             boundary: set[int] | None = set() if track_boundary else None
-            with task_span(
-                "task.expand", partition=pid, mode=neighbor_mode,
-            ) as esp:
+            with task_span("task.expand", partition=pid) as esp:
                 result = local_dbscan(
                     pid, it, t.points, t, eps, minpts, partitioner,
                     seed_policy=seed_policy, max_neighbors=max_neighbors,
-                    neighbor_mode=neighbor_mode, counters=counters,
-                    boundary_out=boundary,
+                    counters=counters, boundary_out=boundary,
                 )
                 esp.annotate(partials=len(result))
             return LocalExpansion(
@@ -803,20 +799,14 @@ class SequentialExpand(Stage):
         points, tree = state.points, state.tree
         with state.tracer.span(
             "executor.partition_expand", cat="executor", tid="executor-0",
-            partition=0, impl=cfg.impl, mode=cfg.neighbor_mode,
+            partition=0, impl=cfg.impl,
         ):
-            if cfg.neighbor_mode == "batched":
-                indptr, indices = tree.query_radius_batch(
-                    points, cfg.eps, cfg.max_neighbors
-                )
+            indptr, indices = tree.query_radius_batch(
+                points, cfg.eps, cfg.max_neighbors
+            )
 
-                def neigh_of(j: int) -> np.ndarray:
-                    return indices[indptr[j]:indptr[j + 1]]
-            else:
-                query = tree.query_radius
-
-                def neigh_of(j: int) -> np.ndarray:
-                    return query(points[j], cfg.eps, cfg.max_neighbors)
+            def neigh_of(j: int) -> np.ndarray:
+                return indices[indptr[j]:indptr[j + 1]]
 
             if cfg.impl == "array":
                 state.labels = _dbscan_array(state.n, cfg.minpts, neigh_of)

@@ -172,7 +172,7 @@ class LocalIndexExpand(Stage):
 
         eps, minpts = cfg.eps, cfg.minpts
         leaf_size, seed_policy = cfg.leaf_size, cfg.seed_policy
-        max_neighbors, neighbor_mode = cfg.max_neighbors, cfg.neighbor_mode
+        max_neighbors = cfg.max_neighbors
         acc, counters_acc = state.acc, state.counters_acc
         collect_counters = counters_acc is not None
         track_boundary = self.emit == "edges"
@@ -183,8 +183,7 @@ class LocalIndexExpand(Stage):
             counters = OpCounters() if collect_counters else None
             boundary: set[int] | None = set() if track_boundary else None
             result = []
-            with task_span("task.expand", partition=pid,
-                           mode=neighbor_mode) as esp:
+            with task_span("task.expand", partition=pid) as esp:
                 n_own = n_halo = 0
                 for payload in it:
                     n_own += len(payload.owned_ids)
@@ -192,8 +191,7 @@ class LocalIndexExpand(Stage):
                     result.extend(cell_local_dbscan(
                         payload, eps, minpts, leaf_size=leaf_size,
                         seed_policy=seed_policy, max_neighbors=max_neighbors,
-                        neighbor_mode=neighbor_mode, counters=counters,
-                        boundary_out=boundary,
+                        counters=counters, boundary_out=boundary,
                     ))
                 if track_boundary:
                     # A partition may aggregate several payloads whose

@@ -13,7 +13,10 @@ from repro.dbscan.cells import (
     build_cell_assignment,
     cell_local_dbscan,
 )
+from repro.dbscan.partial import OpCounters
 from repro.kdtree import KDTree
+
+from . import oracle
 
 
 def brute_adjacent_pairs(cells: np.ndarray) -> set[tuple[int, int]]:
@@ -164,18 +167,18 @@ class TestCellLocalDBSCAN:
                 assert tree.query_radius(pts[c.members[0]], 25.0).size >= 5
 
     def test_batched_equals_per_point(self):
+        """The row kernel reproduces the per-point oracle: partials and
+        every `OpCounters` field, on every payload and both policies."""
         pts, a, payloads = self.payloads()
         for payload in payloads:
-            batched = cell_local_dbscan(payload, 25.0, 5,
-                                        neighbor_mode="batched")
-            per_point = cell_local_dbscan(payload, 25.0, 5,
-                                          neighbor_mode="per_point")
-            assert [c.members for c in batched] == \
-                [c.members for c in per_point]
-            assert [c.seeds for c in batched] == \
-                [c.seeds for c in per_point]
-            assert [c.borders for c in batched] == \
-                [c.borders for c in per_point]
+            for policy in ("all", "one_per_partition"):
+                want, want_counts = oracle.cell_partials(
+                    payload, 25.0, 5, seed_policy=policy)
+                counts = OpCounters()
+                got = cell_local_dbscan(payload, 25.0, 5, seed_policy=policy,
+                                        counters=counts)
+                oracle.assert_same_partials(got, want)
+                assert vars(counts) == vars(want_counts)
 
     def test_empty_partition(self):
         pts, a, payloads = self.payloads(partitions=3)
@@ -188,8 +191,6 @@ class TestCellLocalDBSCAN:
         _, _, payloads = self.payloads(n=50)
         with pytest.raises(ValueError):
             cell_local_dbscan(payloads[0], 25.0, 5, seed_policy="bogus")
-        with pytest.raises(ValueError):
-            cell_local_dbscan(payloads[0], 25.0, 5, neighbor_mode="bogus")
 
 
 @settings(max_examples=25, deadline=None)
@@ -213,3 +214,28 @@ def test_halo_completeness_property(seed, n, d, partitions, eps):
         for i in a.owned[p]:
             ball = tree.query_radius(pts[i], eps)
             assert set(ball.tolist()) <= visible
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(0, 150),
+    d=st.integers(1, 3),
+    partitions=st.integers(1, 5),
+    eps=st.floats(0.5, 3.0),
+    minpts=st.integers(2, 6),
+    policy=st.sampled_from(("all", "one_per_partition")),
+)
+def test_cell_kernel_matches_oracle(seed, n, d, partitions, eps, minpts, policy):
+    """Property: on every cell payload, `cell_local_dbscan` equals the
+    per-point oracle — partials in order and all seven counters."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0, 10, (n, d))
+    for payload in build_cell_assignment(pts, eps, partitions).payloads(pts):
+        want, want_counts = oracle.cell_partials(
+            payload, eps, minpts, seed_policy=policy, leaf_size=8)
+        counts = OpCounters()
+        got = cell_local_dbscan(payload, eps, minpts, leaf_size=8,
+                                seed_policy=policy, counters=counts)
+        oracle.assert_same_partials(got, want)
+        assert vars(counts) == vars(want_counts)

@@ -1,8 +1,12 @@
-"""Batched executor mode (`neighbor_mode="batched"`) must be behaviourally
-identical to the paper's per-point loop: same partial clusters (members,
-member order, borders, seeds, seed order), same merged labels, and the
-same OpCounters — phase A issues exactly one kernel query per owned
-point, which is also what the per-point loop does one call at a time.
+"""The batched row kernel against the per-point oracle.
+
+`local_dbscan` answers every owned neighbourhood with one batch query and
+expands over the CSR rows; the oracle (tests/dbscan/oracle.py) is the
+paper's loop, one kd-tree query per visited point and one queue element
+at a time.  They must agree exactly: partial clusters (members, member
+order, borders, seeds, seed order), merged labels, and all seven
+`OpCounters` fields.  ``neighbor_mode`` survives only as a config field
+whose one value is ``"batched"``.
 """
 
 import numpy as np
@@ -12,8 +16,12 @@ from hypothesis import strategies as st
 
 from repro.dbscan import SparkDBSCAN, dbscan_sequential, local_dbscan
 from repro.dbscan.partial import NEIGHBOR_MODES, OpCounters
+from repro.dbscan.sequential import _dbscan_array, _dbscan_hashtable
 from repro.engine.partitioner import IndexRangePartitioner
 from repro.kdtree import KDTree
+from repro.pipeline import RunConfig
+
+from . import oracle
 
 
 @st.composite
@@ -33,16 +41,6 @@ def point_clouds(draw):
     return pts[rng.permutation(len(pts))]
 
 
-def _identical_partials(a, b):
-    assert len(a) == len(b)
-    for ca, cb in zip(a, b):
-        assert ca.cid == cb.cid
-        assert ca.members == cb.members      # order matters: BFS replay
-        assert ca.seeds == cb.seeds
-        assert ca.borders == cb.borders
-        assert (ca.lo, ca.hi) == (cb.lo, cb.hi)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     pts=point_clouds(),
@@ -52,35 +50,41 @@ def _identical_partials(a, b):
     policy=st.sampled_from(("all", "one_per_partition")),
 )
 def test_batched_partials_identical(pts, p, eps, minpts, policy):
-    """Property: partial clusters match per-point exactly, both policies."""
+    """Property: partial clusters match the oracle exactly, both policies."""
     tree = KDTree(pts, leaf_size=8)
     part = IndexRangePartitioner(len(pts), p)
     for pid in range(p):
         lo, hi = part.range_of(pid)
-        per_point = local_dbscan(pid, range(lo, hi), pts, tree, eps, minpts,
-                                 part, seed_policy=policy)
-        batched = local_dbscan(pid, range(lo, hi), pts, tree, eps, minpts,
-                               part, seed_policy=policy, neighbor_mode="batched")
-        _identical_partials(per_point, batched)
+        want, _ = oracle.range_partials(pid, pts, tree, eps, minpts, part,
+                                        seed_policy=policy)
+        got = local_dbscan(pid, range(lo, hi), pts, tree, eps, minpts, part,
+                           seed_policy=policy)
+        oracle.assert_same_partials(got, want)
 
 
 @settings(max_examples=25, deadline=None)
-@given(pts=point_clouds(), p=st.integers(1, 5), eps=st.floats(0.5, 8.0))
-def test_batched_op_counters_identical(pts, p, eps):
-    """The Section III-B bookkeeping is mode-independent: identical queue,
-    hashtable, and seed counts, and range_queries covers each owned point
-    exactly once in both modes."""
+@given(
+    pts=point_clouds(),
+    p=st.integers(1, 5),
+    eps=st.floats(0.5, 8.0),
+    policy=st.sampled_from(("all", "one_per_partition")),
+)
+def test_batched_op_counters_identical(pts, p, eps, policy):
+    """The Section III-B counts derived by the row kernel equal the
+    oracle's element-by-element counts, field for field; range_queries
+    covers each owned point exactly once."""
     tree = KDTree(pts, leaf_size=8)
     part = IndexRangePartitioner(len(pts), p)
     for pid in range(p):
         lo, hi = part.range_of(pid)
-        c_pp, c_b = OpCounters(), OpCounters()
-        local_dbscan(pid, range(lo, hi), pts, tree, eps, 3, part, counters=c_pp)
-        local_dbscan(pid, range(lo, hi), pts, tree, eps, 3, part, counters=c_b,
-                     neighbor_mode="batched")
-        assert c_pp.__dict__ == c_b.__dict__
-        assert c_b.range_queries == hi - lo
-        assert c_b.queue_adds == c_b.queue_removes
+        _, want = oracle.range_partials(pid, pts, tree, eps, 3, part,
+                                        seed_policy=policy)
+        got = OpCounters()
+        local_dbscan(pid, range(lo, hi), pts, tree, eps, 3, part,
+                     seed_policy=policy, counters=got)
+        assert vars(got) == vars(want)
+        assert got.range_queries == hi - lo
+        assert got.queue_adds == got.queue_removes
 
 
 class TestEndToEnd:
@@ -94,31 +98,36 @@ class TestEndToEnd:
     @pytest.mark.parametrize("p", [1, 3, 8])
     def test_spark_labels_byte_identical(self, data, p):
         g, tree = data
-        a = SparkDBSCAN(25.0, 5, num_partitions=p).fit(g.points, tree=tree)
-        b = SparkDBSCAN(25.0, 5, num_partitions=p,
-                        neighbor_mode="batched").fit(g.points, tree=tree)
-        assert a.labels.tobytes() == b.labels.tobytes()
+        got = SparkDBSCAN(25.0, 5, num_partitions=p).fit(g.points, tree=tree)
+        want = oracle.range_labels(g.points, 25.0, 5, p, tree=tree)
+        assert got.labels.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("impl", ["array", "hashtable"])
     def test_sequential_labels_byte_identical(self, data, impl):
+        """Algorithm 1 over the batch CSR rows equals the same loop fed
+        one kd-tree query per visited point."""
         g, tree = data
-        a = dbscan_sequential(g.points, 25.0, 5, tree=tree, impl=impl)
-        b = dbscan_sequential(g.points, 25.0, 5, tree=tree, impl=impl,
-                              neighbor_mode="batched")
-        assert a.labels.tobytes() == b.labels.tobytes()
+        got = dbscan_sequential(g.points, 25.0, 5, tree=tree, impl=impl)
+        loop = _dbscan_array if impl == "array" else _dbscan_hashtable
+        want = loop(len(g.points), 5,
+                    lambda j: tree.query_radius(g.points[j], 25.0))
+        assert got.labels.tobytes() == want.tobytes()
 
     def test_pruned_queries_also_identical(self, data):
         """The r1m branch-pruning cap composes with the batched kernel."""
         g, tree = data
-        a = SparkDBSCAN(25.0, 5, num_partitions=4, max_neighbors=16).fit(
+        got = SparkDBSCAN(25.0, 5, num_partitions=4, max_neighbors=16).fit(
             g.points, tree=tree)
-        b = SparkDBSCAN(25.0, 5, num_partitions=4, max_neighbors=16,
-                        neighbor_mode="batched").fit(g.points, tree=tree)
-        assert a.labels.tobytes() == b.labels.tobytes()
+        want = oracle.range_labels(g.points, 25.0, 5, 4, max_neighbors=16,
+                                   tree=tree)
+        assert got.labels.tobytes() == want.tobytes()
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="neighbor_mode"):
-            SparkDBSCAN(1.0, 3, neighbor_mode="warp")
-        with pytest.raises(ValueError, match="neighbor_mode"):
-            dbscan_sequential(np.zeros((4, 2)), 1.0, 3, neighbor_mode="warp")
-        assert NEIGHBOR_MODES == ("per_point", "batched")
+        """``"batched"`` is the only mode; anything else is rejected."""
+        for mode in ("per_point", "warp"):
+            with pytest.raises(ValueError, match="neighbor_mode"):
+                RunConfig(eps=1.0, minpts=3, neighbor_mode=mode)
+            with pytest.raises(ValueError, match="neighbor_mode"):
+                dbscan_sequential(np.zeros((4, 2)), 1.0, 3, neighbor_mode=mode)
+        assert NEIGHBOR_MODES == ("batched",)
+        assert RunConfig(eps=1.0, minpts=3).neighbor_mode == "batched"

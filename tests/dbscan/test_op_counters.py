@@ -1,12 +1,15 @@
 """Operation counters: the Section III-B bookkeeping claims, measured."""
 
-import numpy as np
 import pytest
 
-from repro.dbscan import local_dbscan
+from repro.dbscan import SparkDBSCAN, local_dbscan
+from repro.dbscan.cells import build_cell_assignment
 from repro.dbscan.partial import OpCounters
 from repro.engine.partitioner import IndexRangePartitioner
 from repro.kdtree import KDTree
+from repro.obs import MetricsRegistry
+
+from . import oracle
 
 
 @pytest.fixture(scope="module")
@@ -38,13 +41,14 @@ class TestPaperInvariants:
                 assert c.queue_adds == c.queue_removes
 
     def test_one_query_per_visited_point(self, workload):
-        """Each point's eps-neighbourhood is computed at most once per
-        partition (the hashtable's whole purpose)."""
+        """Each point's eps-neighbourhood is computed exactly once per
+        partition (the hashtable's whole purpose): every owned point is
+        visited, none twice."""
         g, tree = workload
         part = IndexRangePartitioner(g.n, 2)
         lo, hi = part.range_of(0)
         _, c = _run_counted(g, tree, 2, 0)
-        assert c.range_queries <= hi - lo
+        assert c.range_queries == hi - lo
 
     def test_hashtable_puts_bounded_by_two_per_point(self, workload):
         # visited + assignment: at most two puts per own point.
@@ -81,6 +85,40 @@ class TestInstrumentedPathEquivalence:
             for a, b in zip(plain, counted):
                 assert a.members == b.members
                 assert a.seeds == b.seeds
+
+
+OPS = tuple(OpCounters.__dataclass_fields__)
+
+
+class TestRegistryAttachedRuns:
+    """Attaching a `MetricsRegistry` turns on counting but runs the same
+    kernel: labels stay byte-identical to a plain fit, and each
+    partition's exported counts equal the per-point oracle's."""
+
+    @pytest.mark.parametrize("partitioning", ["range", "cells"])
+    def test_labels_identical_and_counts_oracle_equal(self, workload,
+                                                      partitioning):
+        g, tree = workload
+        p = 3
+        plain = SparkDBSCAN(25.0, 5, num_partitions=p,
+                            partitioning=partitioning).fit(g.points)
+        reg = MetricsRegistry()
+        counted = SparkDBSCAN(25.0, 5, num_partitions=p,
+                              partitioning=partitioning,
+                              metrics_registry=reg).fit(g.points)
+        assert counted.labels.tobytes() == plain.labels.tobytes()
+
+        if partitioning == "range":
+            part = IndexRangePartitioner(g.n, p)
+            want = [oracle.range_partials(pid, g.points, tree, 25.0, 5, part)[1]
+                    for pid in range(p)]
+        else:
+            payloads = build_cell_assignment(g.points, 25.0, p).payloads(g.points)
+            want = [oracle.cell_partials(pl, 25.0, 5)[1] for pl in payloads]
+        ops = reg.get("repro_dbscan_ops_total")
+        for pid, oc in enumerate(want):
+            got = {op: ops.value(op=op, partition=pid) for op in OPS}
+            assert got == vars(oc)
 
 
 class TestMerge:

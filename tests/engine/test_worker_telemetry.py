@@ -167,12 +167,11 @@ class TestDbscanLabelsUnaffected:
 
         pts = generate_clustered(n=400, num_clusters=3, cluster_std=8.0,
                                  seed=5).points
-        plain = SparkDBSCAN(25.0, 5, num_partitions=4, master=master,
-                            neighbor_mode="batched").fit(pts)
+        plain = SparkDBSCAN(25.0, 5, num_partitions=4, master=master).fit(pts)
         tracer = Tracer()
         reg = MetricsRegistry()
         full = SparkDBSCAN(25.0, 5, num_partitions=4, master=master,
-                           neighbor_mode="batched", tracer=tracer,
+                           tracer=tracer,
                            metrics_registry=reg, profile=True).fit(pts)
         assert np.array_equal(plain.labels, full.labels)
         worker_names = {s.name for s in tracer.spans if s.cat == "worker"}

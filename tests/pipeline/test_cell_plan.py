@@ -16,6 +16,8 @@ from repro.dbscan import SparkDBSCAN
 from repro.obs import MetricsRegistry, Tracer
 from repro.pipeline import PipelineCrash
 
+from ..dbscan import oracle
+
 EPS, MINPTS = 25.0, 5
 
 DATASETS = {
@@ -41,10 +43,12 @@ class TestByteIdentity:
         assert np.array_equal(base.labels, cell.labels)
 
     def test_identical_under_batched_kernels(self):
+        """Both plans run the one row kernel; the cell plan's labels
+        equal the per-point oracle's merged range-plan labels."""
         points = DATASETS["skew"]().points
-        base = fit(points, neighbor_mode="batched")
-        cell = fit(points, neighbor_mode="batched", partitioning="cells")
-        assert np.array_equal(base.labels, cell.labels)
+        cell = fit(points, partitioning="cells")
+        want = oracle.range_labels(points, EPS, MINPTS, 4)
+        assert cell.labels.tobytes() == want.tobytes()
 
     def test_single_partition(self):
         points = DATASETS["quest"]().points

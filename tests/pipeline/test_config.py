@@ -33,6 +33,7 @@ class TestValidation:
         dict(impl="gpu"),
         dict(max_rounds=0),
         dict(startup_overhead=-0.5),
+        dict(neighbor_mode="per_point"),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -88,7 +89,7 @@ class TestContentHash:
         dict(merge_strategy="paper"),
         dict(min_cluster_size=2),
         dict(leaf_size=32),
-        dict(neighbor_mode="batched"),
+        dict(max_rounds=50),
         dict(impl="hashtable"),
         dict(max_neighbors=40),
         dict(partitioning="cells"),

@@ -45,12 +45,6 @@ class TestLabelEquivalence:
         edge, _ = fit(points, master=master, merge_mode="edges")
         np.testing.assert_array_equal(edge.labels, base.labels)
 
-    @pytest.mark.parametrize("mode", ["per_point", "batched"])
-    def test_neighbor_modes_agree(self, points, mode):
-        base, _ = fit(points, neighbor_mode=mode)
-        edge, _ = fit(points, neighbor_mode=mode, merge_mode="edges")
-        np.testing.assert_array_equal(edge.labels, base.labels)
-
     def test_skewed_data(self):
         pts = generate_skewed(2000, shuffle=False).points
         base, _ = fit(pts)

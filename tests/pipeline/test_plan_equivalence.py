@@ -11,6 +11,7 @@ import pytest
 
 from repro.data import generate_clustered
 from repro.dbscan import (
+    NEIGHBOR_MODES,
     MapReduceDBSCAN,
     NaiveSparkDBSCAN,
     SparkDBSCAN,
@@ -85,7 +86,7 @@ class TestFrontendEqualsPlan:
             result.num_partial_clusters
 
     @pytest.mark.parametrize("impl", ["array", "hashtable"])
-    @pytest.mark.parametrize("mode", ["per_point", "batched"])
+    @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
     def test_sequential(self, points, impl, mode):
         config = RunConfig(eps=EPS, minpts=MINPTS, algorithm="sequential",
                            num_partitions=1, impl=impl, neighbor_mode=mode)
