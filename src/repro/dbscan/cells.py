@@ -17,6 +17,11 @@ the dDBGSCAN family show the production shape, built here:
    own cells' bounding boxes.  Owned points therefore see their entire
    eps-neighbourhood locally, and each executor builds a kd-tree over
    only (owned + halo) points: no executor ever holds a global index.
+   The driver plans halos with array passes, for every d: one sorted-key
+   sweep finds the adjacent cross-partition cell pairs chunk by chunk,
+   each chunk's (pair, point) rows take the box test at once, and the
+   survivors accumulate as sorted ``partition * n + point`` keys — no
+   per-pair loop, no all-pairs cell scan, no ``(partitions, n)`` mask.
 4. **`cell_local_dbscan`** — the SEED expansion (Algorithm 2 lines
    4-29) over a partition payload, run by the same row kernel as the
    index-range plan: owned points expand, halo points are recorded as
@@ -55,6 +60,11 @@ from .partial import (
 #: safe: the kd-tree recomputes exact distances inside the partition.
 HALO_SLACK = 1e-9
 
+#: Rows (cell pair, foreign point) one chunk of the adjacency sweep may
+#: expand to; bounds the halo plan's working memory independently of
+#: the number of partitions and adjacent pairs.
+_CHUNK_ROWS = 1 << 14
+
 
 class CellGrid:
     """Batch uniform grid over a fixed point set, cell edge = ``eps``.
@@ -62,7 +72,8 @@ class CellGrid:
     The batch counterpart of `GridIndex` (which is mutable and
     insert-oriented): built once over the whole array with vectorised
     binning, it exposes the occupied cells, their point lists (ascending
-    global index), and Chebyshev adjacency between occupied cells.
+    global index, also as the CSR ``order``/``starts``), and Chebyshev
+    adjacency between occupied cells.
     """
 
     def __init__(self, points: np.ndarray, eps: float):
@@ -86,10 +97,11 @@ class CellGrid:
         self.cells = cells  # lint: allow[SCL001] ROADMAP item 1: central driver binning
         self.cell_of_point = inverse  # lint: allow[SCL001] ROADMAP item 1: central driver binning
         self.counts = np.bincount(inverse, minlength=len(cells)).astype(np.int64)
-        # Points grouped by cell; stable sort keeps ascending global
-        # index within each cell (the determinism contract needs it).
-        order = np.argsort(inverse, kind="stable")  # lint: allow[SCL001] ROADMAP item 1: central driver binning
-        starts = np.concatenate(([0], np.cumsum(self.counts)))
+        # Points grouped by cell (CSR: cell i holds order[starts[i]:
+        # starts[i + 1]]); the stable sort keeps ascending global index
+        # within each cell (the determinism contract needs it).
+        self.order = order = np.argsort(inverse, kind="stable")  # lint: allow[SCL001] ROADMAP item 1: central driver binning
+        self.starts = starts = np.concatenate(([0], np.cumsum(self.counts)))
         self.cell_points = [  # lint: allow[SCL001,SCL002] ROADMAP item 1: central driver binning
             order[starts[i]:starts[i + 1]] for i in range(len(cells))
         ]
@@ -104,41 +116,89 @@ class CellGrid:
         x = np.asarray(x, dtype=np.float64)
         return tuple(int(v) for v in np.floor(x / self.eps).astype(np.int64))
 
-    def adjacent_pairs(self) -> Iterator[tuple[int, int]]:
+    def adjacent_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Ordered pairs ``(i, j)``, ``i != j``, of Chebyshev-adjacent
-        occupied cells (coordinates differing by at most 1 everywhere).
+        occupied cells (coordinates differing by at most 1 everywhere),
+        as two int64 arrays sorted by ``(i, j)``.
 
-        Two strategies, same trade as `GridIndex.neighbors`: enumerate
-        the 3^d offset box through a dict when it is smaller than the
-        occupied-cell count, otherwise scan occupied cells pairwise in
-        vectorised blocks (3^d explodes at d=10 while real datasets
-        occupy far fewer cells).
+        Built by the same sweep as the halo plan (`adjacent_chunks`), for
+        every d: neither the 3^d offset box nor an all-pairs scan.
+        """
+        none = np.empty(0, dtype=np.int64)
+        chunks = list(self.adjacent_chunks())
+        i = np.concatenate([none, *(i for i, _ in chunks)])
+        j = np.concatenate([none, *(j for _, j in chunks)])
+        order = np.lexsort((j, i))
+        return i[order], j[order]
+
+    def adjacent_chunks(
+        self, cell_pid: np.ndarray | None = None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield the adjacent pairs ``(i, j)`` in chunks of ascending
+        ``i``; with ``cell_pid``, only pairs owned by different partitions.
+
+        Candidates come from `_windows`, filtered by full Chebyshev
+        distance.  A chunk spans whole cells, cut so that the points of
+        its candidate cells stay under `_CHUNK_ROWS` (one cell alone may
+        exceed it), which bounds the halo test's (pair, point) rows too.
         """
         m = self.num_cells
         if m == 0:
             return
-        if 3 ** self.d <= m:
-            index = {tuple(c): i for i, c in enumerate(self.cells.tolist())}
-            for i, c in enumerate(self.cells.tolist()):
-                for offset in np.ndindex(*(3,) * self.d):
-                    if all(o == 1 for o in offset):
-                        continue
-                    j = index.get(tuple(b + o - 1 for b, o in zip(c, offset)))
-                    if j is not None:
-                        yield i, j
-        else:
-            # Block size keeps the (block, m, d) difference tensor small.
-            block = max(1, (1 << 22) // max(1, m * self.d))
-            for s in range(0, m, block):
-                rows = self.cells[s:s + block]
-                cheb = np.abs(
-                    rows[:, None, :] - self.cells[None, :, :]
-                ).max(axis=2)
-                for bi, j in zip(*np.nonzero(cheb <= 1)):
-                    i = int(bi) + s
-                    j = int(j)
-                    if i != j:
-                        yield i, j
+        by_key, lo, hi = self._windows()
+        # Points in each cell's windows: an upper bound on its rows.
+        csum = np.concatenate(([0], np.cumsum(self.counts[by_key])))
+        bound = np.concatenate(([0], np.cumsum((csum[hi] - csum[lo]).sum(axis=1))))
+        s = 0
+        while s < m:
+            e = int(np.searchsorted(bound, bound[s] + _CHUNK_ROWS, "right")) - 1
+            e = max(e, s + 1)
+            lens = (hi[s:e] - lo[s:e]).ravel()
+            i = np.repeat(np.arange(s, e), lens.reshape(-1, 3).sum(axis=1))
+            j = by_key[_ranges(lo[s:e].ravel(), lens)]
+            keep = i != j
+            if cell_pid is not None:
+                keep &= cell_pid[i] != cell_pid[j]
+            i, j = i[keep], j[keep]
+            near = np.abs(self.cells[i] - self.cells[j]).max(axis=1) <= 1
+            yield i[near], j[near]
+            s = e
+
+    def _windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sweep's candidate windows: ``(by_key, lo, hi)``.
+
+        ``by_key`` sorts the occupied cells on a composite key over the
+        two axes ``a0``, ``a1`` with the most distinct coordinates.  For
+        cell i and k = 0, 1, 2, ``by_key[lo[i, k]:hi[i, k]]`` are the
+        cells whose ``a0`` coordinate is ``cells[i, a0] + k - 1`` and
+        whose ``a1`` coordinate is within 1 of ``cells[i, a1]`` — a
+        superset of i's Chebyshev neighbours (and i itself).
+        """
+        cells = self.cells
+        # Key axes by distinct coordinates (the one axis twice at d=1).
+        distinct = [len(np.unique(cells[:, a])) for a in range(self.d)]
+        ranked = np.argsort(distinct, kind="stable")[::-1]
+        a0, a1 = int(ranked[0]), int(ranked[min(1, self.d - 1)])
+        u0, r0 = np.unique(cells[:, a0], return_inverse=True)
+        u1, r1 = np.unique(cells[:, a1], return_inverse=True)
+        width = len(u1)
+        key = r0 * width + r1
+        by_key = np.argsort(key, kind="stable")
+        key = key[by_key]
+        lo1 = np.searchsorted(u1, cells[:, a1] - 1, "left")
+        hi1 = np.searchsorted(u1, cells[:, a1] + 1, "right")
+        lo = np.empty((len(cells), 3), dtype=np.int64)
+        hi = np.empty((len(cells), 3), dtype=np.int64)
+        for k in range(3):
+            target = cells[:, a0] + (k - 1)
+            row = np.minimum(np.searchsorted(u0, target), len(u0) - 1)
+            lo[:, k] = np.searchsorted(key, row * width + lo1, "left")
+            hi[:, k] = np.where(
+                u0[row] == target,
+                np.searchsorted(key, row * width + hi1, "left"),
+                lo[:, k],
+            )
+        return by_key, lo, hi
 
 
 @dataclass
@@ -233,6 +293,44 @@ def balance_cells(counts: np.ndarray, num_partitions: int) -> np.ndarray:
     return cell_pid
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + l)`` over ``zip(starts, lens)``."""
+    first = np.cumsum(lens) - lens
+    return np.arange(int(lens.sum())) + np.repeat(starts - first, lens)
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a fresh int64 array, sorting it in place (numpy
+    2's default hash-based unique is several times slower here)."""
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _halo_keys(
+    grid: CellGrid, eps: float, cell_pid: np.ndarray,
+    i: np.ndarray, j: np.ndarray,
+) -> np.ndarray:
+    """The halo test for cell pairs ``(i, j)`` as array passes: sorted
+    unique ``partition * n + point`` keys of the points of cells ``j``
+    within eps (plus `HALO_SLACK`) of the boxes of cells ``i``, keyed
+    by the partition owning ``i``."""
+    # One row per (pair, point of cell j), points in CSR order.
+    pair = np.repeat(np.arange(len(j)), grid.counts[j])
+    idx = grid.order[_ranges(grid.starts[j], grid.counts[j])]
+    q = grid.points[idx]
+    lo = grid.cells[i[pair]] * eps
+    hi = lo + eps
+    # excess = max(lo - q, q - hi, 0), in place over the row buffers.
+    excess = np.maximum(np.subtract(lo, q, out=lo),
+                        np.subtract(q, hi, out=hi), out=lo)
+    np.maximum(excess, 0.0, out=excess)
+    np.multiply(excess, excess, out=excess)
+    near = excess.sum(axis=1) <= (eps * eps) * (1.0 + HALO_SLACK)
+    return _sorted_unique(cell_pid[i[pair[near]]] * grid.n + idx[near])
+
+
 def build_cell_assignment(
     points: np.ndarray, eps: float, num_partitions: int
 ) -> CellAssignment:
@@ -243,6 +341,12 @@ def build_cell_assignment(
     points farther than eps from every owned box cannot be within eps of
     any owned point, so they are never needed.  The comparison carries
     `HALO_SLACK` so halos only ever over-approximate.
+
+    The test runs as array passes over the chunks of
+    `CellGrid.adjacent_chunks`: each cross-partition pair (i, j) expands
+    to one row per point of cell j, and the rows that pass become sorted
+    unique ``partition * n + point`` keys, merged as the chunks go.
+    Driver memory is O(chunk + halo), never O(partitions * n).
     """
     if num_partitions < 1:
         raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
@@ -253,30 +357,29 @@ def build_cell_assignment(
         else np.empty(0, dtype=np.int64)
     )
 
-    halo_mask = np.zeros((num_partitions, grid.n), dtype=bool)  # lint: allow[SCL001] ROADMAP item 1: central driver binning
-    eps2 = (eps * eps) * (1.0 + HALO_SLACK)
-    for i, j in grid.adjacent_pairs():
-        pi, pj = int(cell_pid[i]), int(cell_pid[j])
-        if pi == pj:
-            continue
-        idx = grid.cell_points[j]
-        q = grid.points[idx]
-        lo = grid.cells[i] * eps
-        hi = lo + eps
-        excess = np.maximum(np.maximum(lo - q, q - hi), 0.0)
-        near = (excess * excess).sum(axis=1) <= eps2
-        halo_mask[pi, idx[near]] = True
+    n = grid.n
+    keys = np.empty(0, dtype=np.int64)
+    pending: list[np.ndarray] = []
+    for i, j in grid.adjacent_chunks(cell_pid):
+        pending.append(_halo_keys(grid, eps, cell_pid, i, j))
+        # Merge once the pending keys outnumber the merged ones, so a
+        # merge never sorts more than twice the keys it adds.
+        if sum(len(k) for k in pending) > len(keys):
+            keys = _sorted_unique(np.concatenate([keys, *pending]))
+            pending = []
+    keys = _sorted_unique(np.concatenate([keys, *pending]))
 
-    owned = [  # lint: allow[SCL001] ROADMAP item 1: central driver binning
-        np.flatnonzero(point_pid == p).astype(np.int64)
-        for p in range(num_partitions)
-    ]
-    halo = [
-        np.flatnonzero(halo_mask[p]).astype(np.int64)
-        for p in range(num_partitions)
-    ]
+    # Per-partition runs of the keys, turned into point ids in place.
+    bounds = np.searchsorted(keys, np.arange(num_partitions + 1) * n)
+    keys -= np.repeat(np.arange(num_partitions) * n, np.diff(bounds))
+    halo = np.split(keys, bounds[1:-1])
+    # Stable sort: ascending global index within each partition.
+    owned = np.split(  # lint: allow[SCL001] ROADMAP item 1: central driver binning
+        np.argsort(point_pid, kind="stable"),
+        np.cumsum(np.bincount(point_pid, minlength=num_partitions))[:-1],
+    )
     return CellAssignment(
-        n=grid.n,
+        n=n,
         num_partitions=num_partitions,
         num_cells=grid.num_cells,
         owned=owned,

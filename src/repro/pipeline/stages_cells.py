@@ -8,7 +8,9 @@ with the MR-DBSCAN / dDBGSCAN shape (`repro.dbscan.cells`):
 - `CellPartition` bins points into eps-aligned grid cells, packs whole
   cells into balanced partitions (greedy LPT over per-cell counts), and
   computes each partition's **eps-halo**: the foreign points within eps
-  of one of its cells' bounding boxes.
+  of one of its cells' bounding boxes.  The halo plan is a chunked
+  adjacency sweep with a vectorised box test; its driver memory is
+  O(chunk + halo), independent of the partition count.
 - `LocalIndexExpand` ships each partition its `CellPayload` (owned +
   halo points) *through the RDD*, builds a kd-tree over only that
   payload on the executor, and runs `cell_local_dbscan` — the SEED

@@ -8,16 +8,28 @@ happens.  The shipped row kernel (`repro.dbscan.partial._expand_rows`)
 must reproduce its partial clusters — members and seeds in order,
 borders — and all seven `OpCounters` fields exactly, on both the range
 plan (`local_dbscan`) and the cell plan (`cell_local_dbscan`).
+
+`cell_assignment` is the same kind of oracle for the cell plan's driver
+side: brute-force Chebyshev adjacency over every pair of occupied cells
+and one eps-box halo test per adjacent cross-partition pair, marked in a
+dense ``(partitions, n)`` matrix.  `build_cell_assignment` must return
+exactly its arrays.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.dbscan.cells import CellPayload
+from repro.dbscan.cells import (
+    HALO_SLACK,
+    CellAssignment,
+    CellGrid,
+    CellPayload,
+    balance_cells,
+)
 from repro.dbscan.merge import merge_partials
 from repro.dbscan.partial import OpCounters, PartialCluster
 from repro.engine.partitioner import IndexRangePartitioner
@@ -148,6 +160,73 @@ def cell_partials(
         member_id=lambda p: int(payload.owned_ids[p]),
         seed_id=lambda p: int(payload.halo_ids[p - n_own]),
     )
+
+
+def adjacent_pairs(cells: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Ordered pairs ``(i, j)``, ``i != j``, of occupied cells at
+    Chebyshev distance <= 1, by comparing every cell with every other
+    (in row blocks, so the difference tensor stays small)."""
+    m, d = cells.shape
+    block = max(1, (1 << 22) // max(1, m * d))
+    for s in range(0, m, block):
+        cheb = np.abs(cells[s:s + block, None, :] - cells[None, :, :]).max(axis=2)
+        for bi, j in zip(*np.nonzero(cheb <= 1)):
+            if int(bi) + s != int(j):
+                yield int(bi) + s, int(j)
+
+
+def cell_assignment(
+    points: np.ndarray, eps: float, num_partitions: int
+) -> CellAssignment:
+    """The oracle for `build_cell_assignment`: one halo test per adjacent
+    cross-partition cell pair, marked in a dense halo matrix."""
+    grid = CellGrid(points, eps)
+    cell_pid = balance_cells(grid.counts, num_partitions)
+    point_pid = (
+        cell_pid[grid.cell_of_point] if grid.n
+        else np.empty(0, dtype=np.int64)
+    )
+    halo_mask = np.zeros((num_partitions, grid.n), dtype=bool)
+    eps2 = (eps * eps) * (1.0 + HALO_SLACK)
+    for i, j in adjacent_pairs(grid.cells):
+        pi, pj = int(cell_pid[i]), int(cell_pid[j])
+        if pi == pj:
+            continue
+        idx = grid.cell_points[j]
+        q = grid.points[idx]
+        lo = grid.cells[i] * eps
+        hi = lo + eps
+        excess = np.maximum(np.maximum(lo - q, q - hi), 0.0)
+        near = (excess * excess).sum(axis=1) <= eps2
+        halo_mask[pi, idx[near]] = True
+    halo = [
+        np.flatnonzero(halo_mask[p]).astype(np.int64)
+        for p in range(num_partitions)
+    ]
+    return CellAssignment(
+        n=grid.n,
+        num_partitions=num_partitions,
+        num_cells=grid.num_cells,
+        owned=[
+            np.flatnonzero(point_pid == p).astype(np.int64)
+            for p in range(num_partitions)
+        ],
+        halo=halo,
+        halo_home=[point_pid[h] for h in halo],
+    )
+
+
+def assert_same_assignment(got: CellAssignment, want: CellAssignment):
+    """Identical cell plans: sizes, and every owned/halo/halo_home array
+    equal in values, order and dtype."""
+    assert (got.n, got.num_partitions, got.num_cells) == (
+        want.n, want.num_partitions, want.num_cells)
+    for name in ("owned", "halo", "halo_home"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert len(a) == len(b) == want.num_partitions, name
+        for p, (x, y) in enumerate(zip(a, b)):
+            assert x.dtype == y.dtype, (name, p, x.dtype, y.dtype)
+            np.testing.assert_array_equal(x, y, err_msg=f"{name}[{p}]")
 
 
 def range_labels(

@@ -1,9 +1,11 @@
 """Cell partitioning primitives: grid binning, adjacency, LPT balance,
 eps-halo completeness, and the per-partition SEED expansion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import generate_clustered, generate_skewed
@@ -19,13 +21,10 @@ from repro.kdtree import KDTree
 from . import oracle
 
 
-def brute_adjacent_pairs(cells: np.ndarray) -> set[tuple[int, int]]:
-    cheb = np.abs(cells[:, None, :] - cells[None, :, :]).max(axis=2)
-    return {
-        (int(i), int(j))
-        for i, j in zip(*np.nonzero(cheb <= 1))
-        if i != j
-    }
+def assert_adjacency_matches_brute_force(grid: CellGrid):
+    i, j = grid.adjacent_pairs()
+    assert i.dtype == j.dtype == np.int64
+    assert list(zip(i.tolist(), j.tolist())) == list(oracle.adjacent_pairs(grid.cells))
 
 
 class TestCellGrid:
@@ -46,7 +45,9 @@ class TestCellGrid:
     def test_empty(self):
         grid = CellGrid(np.empty((0, 2)), eps=1.0)
         assert grid.num_cells == 0
-        assert list(grid.adjacent_pairs()) == []
+        i, j = grid.adjacent_pairs()
+        assert i.dtype == j.dtype == np.int64
+        assert len(i) == len(j) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -55,21 +56,43 @@ class TestCellGrid:
             CellGrid(np.zeros(3), eps=1.0)
 
     def test_adjacency_offset_strategy_matches_brute_force(self):
-        # d=2, many occupied cells: 3^2 = 9 <= m picks the offset-dict
-        # enumeration.
+        # d=2, many occupied cells: the 3^2 = 9 offset box is smaller
+        # than the occupied-cell count.
         rng = np.random.default_rng(1)
         pts = rng.uniform(0, 60, (400, 2))
         grid = CellGrid(pts, eps=5.0)
         assert 3 ** grid.d <= grid.num_cells
-        assert set(grid.adjacent_pairs()) == brute_adjacent_pairs(grid.cells)
+        assert_adjacency_matches_brute_force(grid)
 
     def test_adjacency_scan_strategy_matches_brute_force(self):
-        # d=10: 3^10 = 59 049 offsets dwarf the occupied-cell count, so
-        # the blocked vectorised scan runs instead.
+        # d=10: 3^10 = 59 049 offsets dwarf the occupied-cell count.
         g = generate_skewed(400, d=10, seed=2)
         grid = CellGrid(g.points, eps=25.0)
         assert 3 ** grid.d > grid.num_cells
-        assert set(grid.adjacent_pairs()) == brute_adjacent_pairs(grid.cells)
+        assert_adjacency_matches_brute_force(grid)
+
+    def test_csr_matches_cell_points(self):
+        rng = np.random.default_rng(3)
+        grid = CellGrid(rng.uniform(0, 30, (200, 3)), eps=4.0)
+        for c, idx in enumerate(grid.cell_points):
+            got = grid.order[grid.starts[c]:grid.starts[c + 1]]
+            np.testing.assert_array_equal(got, idx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(0, 300),
+    d=st.integers(1, 6),
+    eps=st.floats(0.5, 3.0),
+)
+@example(seed=0, n=300, d=2, eps=1.0)    # 3^d <= occupied cells
+@example(seed=0, n=300, d=6, eps=1.0)    # 3^d > occupied cells
+def test_adjacency_property(seed, n, d, eps):
+    """The sweep finds exactly the all-pairs Chebyshev adjacency, in
+    (i, j) order, whichever of 3^d and the cell count is larger."""
+    rng = np.random.default_rng(seed)
+    assert_adjacency_matches_brute_force(CellGrid(rng.uniform(0, 10, (n, d)), eps))
 
 
 class TestBalanceCells:
@@ -142,6 +165,67 @@ class TestHalo:
         a = build_cell_assignment(data.points, 25.0, 1)
         assert a.halo_points_total == 0
         assert len(a.owned[0]) == a.n
+
+
+class TestAssignmentOracle:
+    """`build_cell_assignment` returns the per-pair oracle's arrays."""
+
+    @pytest.fixture(scope="class")
+    def quest_c(self):
+        # The Quest "c" family at d=10 and the paper's eps: 3^d far
+        # exceeds the occupied cells, and most pairs cross partitions.
+        return generate_clustered(
+            1_600, d=10, num_clusters=10, cluster_std=8.0,
+            noise_fraction=0.05, seed=1,
+        ).points
+
+    @pytest.mark.parametrize("partitions", [2, 4, 16])
+    def test_quest_c_d10(self, quest_c, partitions):
+        oracle.assert_same_assignment(
+            build_cell_assignment(quest_c, 25.0, partitions),
+            oracle.cell_assignment(quest_c, 25.0, partitions),
+        )
+
+    def test_no_partitions_by_points_allocation(self):
+        """At 512 partitions the removed dense halo matrix alone took
+        P·n bytes; the sweep keeps chunks, halo keys and the O(halo)
+        result, and peaks well under half of that."""
+        pts = generate_clustered(20_000, d=2, seed=11).points
+        build_cell_assignment(pts[:200], 25.0, 4)  # first-call imports
+        tracemalloc.start()
+        try:
+            a = build_cell_assignment(pts, 25.0, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert a.n == 20_000 and a.halo_points_total > 0
+        assert peak < 512 * 20_000 / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(0, 250),
+    d=st.integers(1, 6),
+    partitions=st.integers(1, 8),
+    eps=st.floats(0.5, 3.0),
+    lattice=st.booleans(),
+)
+@example(seed=0, n=250, d=2, partitions=3, eps=0.5, lattice=True)
+def test_assignment_matches_oracle(seed, n, d, partitions, eps, lattice):
+    """Byte-identical to the oracle.  On a 0.1-step lattice many points
+    sit at exactly eps from a cell box, and rounding decides them unless
+    `HALO_SLACK` does."""
+    rng = np.random.default_rng(seed)
+    if lattice:
+        pts = rng.integers(0, 60, (n, d)) * 0.1
+        eps = round(eps, 1)
+    else:
+        pts = rng.uniform(0, 10, (n, d))
+    oracle.assert_same_assignment(
+        build_cell_assignment(pts, eps, partitions),
+        oracle.cell_assignment(pts, eps, partitions),
+    )
 
 
 class TestCellLocalDBSCAN:
