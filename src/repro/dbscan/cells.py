@@ -71,8 +71,8 @@ class CellGrid:
 
     The batch counterpart of `GridIndex` (which is mutable and
     insert-oriented): built once over the whole array with vectorised
-    binning, it exposes the occupied cells, their point lists (ascending
-    global index, also as the CSR ``order``/``starts``), and Chebyshev
+    binning, it exposes the occupied cells, their points (ascending
+    global index, as the CSR ``order``/``starts``), and Chebyshev
     adjacency between occupied cells.
     """
 
@@ -100,11 +100,8 @@ class CellGrid:
         # Points grouped by cell (CSR: cell i holds order[starts[i]:
         # starts[i + 1]]); the stable sort keeps ascending global index
         # within each cell (the determinism contract needs it).
-        self.order = order = np.argsort(inverse, kind="stable")  # lint: allow[SCL001] ROADMAP item 1: central driver binning
-        self.starts = starts = np.concatenate(([0], np.cumsum(self.counts)))
-        self.cell_points = [  # lint: allow[SCL001,SCL002] ROADMAP item 1: central driver binning
-            order[starts[i]:starts[i + 1]] for i in range(len(cells))
-        ]
+        self.order = np.argsort(inverse, kind="stable")  # lint: allow[SCL001] ROADMAP item 1: central driver binning
+        self.starts = np.concatenate(([0], np.cumsum(self.counts)))
 
     @property
     def num_cells(self) -> int:

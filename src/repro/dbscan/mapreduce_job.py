@@ -16,7 +16,7 @@ Wall-clock on p cores is the measured-task makespan plus the configured
 per-job startup overhead, identical methodology to the Spark side.
 
 The two MR jobs live in `repro.pipeline.stages_mapreduce` (the plan is
-`repro.pipeline.mapreduce_plan`); this class is the thin frontend shim.
+`repro.pipeline.build_plan`'s ``mapreduce``); this class is the thin frontend shim.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ shuffle rounds with all-points record volume in each, versus zero
 shuffles for the SEED algorithm.
 
 The propagation body lives in `repro.pipeline.stages_naive` (the plan
-is `repro.pipeline.naive_plan`); this class is the thin frontend shim.
+is `repro.pipeline.build_plan`'s ``naive``); this class is the thin frontend shim.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ Both produce identical clusterings; Ablation C benchmarks them
 head-to-head.
 
 As a pipeline composition this is the degenerate single-partition plan
-(`repro.pipeline.sequential_plan`): LoadPoints → BuildIndex →
+(``sequential`` in `repro.pipeline.build_plan`): LoadPoints → BuildIndex →
 SequentialExpand, no engine, no merge.  The expansion kernels below are
 what `repro.pipeline.stages.SequentialExpand` calls, with ``neigh_of``
 reading the CSR rows of one batch neighbourhood query.

@@ -16,7 +16,7 @@ merging.
 
 As a plan composition this is literally the Spark plan plus a
 `SpatialReorder` stage after `LoadPoints` and a permutation-undoing
-`RelabelFilter` tail (`repro.pipeline.spatial_plan`).
+`RelabelFilter` tail (``spatial`` in `repro.pipeline.build_plan`).
 """
 
 from __future__ import annotations

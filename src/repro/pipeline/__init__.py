@@ -5,7 +5,8 @@ in this package, executed by one `PipelineRunner`:
 
 - `RunConfig` — the single frozen config replacing the kwarg sprawl;
 - `Stage` subclasses — the paper's driver steps as typed objects;
-- `Plan` / `build_plan` — the five frontend compositions;
+- `Plan` / `build_plan` — the nine plan compositions (six SEED
+  plans from a prefix and a merge tail, three literal baselines);
 - `PipelineRunner` — spans + metrics per stage, checkpoint/resume;
 - `CheckpointStore` — content-hashed per-stage artifacts on disk.
 
@@ -32,27 +33,21 @@ from .stages import (
     SpatialReorder,
     Stage,
 )
-from .stages_cells import CellCollect, CellPartition, LocalIndexExpand
+from .stages_cells import CellPartition, LocalIndexExpand
 from .stages_naive import NaiveRelabel, ShuffleExpand
 from .stages_mapreduce import MRBuildIndex, MRCollect, MRLocalExpand, MRRelabel
 from .plans import (
-    PLAN_BUILDERS,
     SHUFFLE_FREE_PLANS,
     STAGE_MANIFEST,
     Plan,
     build_plan,
-    cell_edges_plan,
-    cell_plan,
-    mapreduce_plan,
-    naive_plan,
     plan_name,
-    sequential_plan,
-    spark_edges_plan,
-    spark_plan,
-    spatial_edges_plan,
-    spatial_plan,
 )
 from .runner import RESTORED, RUN, SKIPPED, PipelineCrash, PipelineRunner
+
+# The cell plans collect with `CollectPartials`; the old class name stays
+# resolvable only because perfbench's per-layer table still lists it.
+CellCollect = CollectPartials
 
 __all__ = [
     "ALGORITHMS",
@@ -79,7 +74,6 @@ __all__ = [
     "SequentialExpand",
     "CellPartition",
     "LocalIndexExpand",
-    "CellCollect",
     "ShuffleExpand",
     "NaiveRelabel",
     "MRBuildIndex",
@@ -87,20 +81,10 @@ __all__ = [
     "MRCollect",
     "MRRelabel",
     "Plan",
-    "PLAN_BUILDERS",
     "STAGE_MANIFEST",
     "SHUFFLE_FREE_PLANS",
     "build_plan",
     "plan_name",
-    "spark_plan",
-    "spatial_plan",
-    "cell_plan",
-    "spark_edges_plan",
-    "spatial_edges_plan",
-    "cell_edges_plan",
-    "sequential_plan",
-    "naive_plan",
-    "mapreduce_plan",
     "PipelineRunner",
     "PipelineCrash",
     "RUN",

@@ -1,21 +1,27 @@
-"""Plan compositions: the five frontends as stage lists.
+"""Plan compositions: one SEED composer plus three literal baselines.
 
-The paper's driver program is one fixed sequence; the five frontends are
-small edits of it (Section IV vs. the Section V baselines):
+The paper's driver program is one fixed sequence (Algorithm 2: index,
+partition, expand with SEEDs, collect, merge).  Every SEED plan is that
+sequence with one partitioning *prefix* and one merge *tail*, composed
+by `build_plan`:
 
 ==============  ==========================================================
-``spark``       LoadPoints → BuildIndex → PartitionPlan → BroadcastModel →
-                LocalExpand → CollectPartials → MergePartials → RelabelFilter
-``spatial``     the same plan with a SpatialReorder stage after LoadPoints
-                (and a permutation-undoing RelabelFilter tail)
-``cell``        LoadPoints → CellPartition → LocalIndexExpand → CellCollect →
-                MergePartials → RelabelFilter — the spark plan re-based on
-                cell partitions with local indexes and an eps-halo; no
-                BuildIndex, no BroadcastModel (``partitioning="cells"``)
-``*_edges``     the spark/spatial/cell compositions with the edge-based
-                merge tail (``merge_mode="edges"``): LocalExpand emits
-                digests, then CollectEdges → MergeEdges → ApplyGidMap
-                replaces CollectPartials → MergePartials (DESIGN.md §11)
+prefix          ``range``: BuildIndex → PartitionPlan → BroadcastModel →
+                LocalExpand; ``spatial``: the same after a SpatialReorder
+                stage (and a permutation-undoing RelabelFilter);
+                ``cells`` (``partitioning="cells"``): CellPartition →
+                LocalIndexExpand — cell partitions with local indexes and
+                an eps-halo, no BuildIndex, no BroadcastModel
+tail            ``partials``: CollectPartials → MergePartials;
+                ``edges`` (``merge_mode="edges"``): CollectEdges →
+                MergeEdges → ApplyGidMap (DESIGN.md §11)
+==============  ==========================================================
+
+LoadPoints opens and RelabelFilter closes every SEED plan; the six
+products are named ``spark``/``spatial``/``cell`` plus ``_edges`` for
+the edge tail.  The non-SEED baselines stay literal stage lists:
+
+==============  ==========================================================
 ``sequential``  the degenerate single-partition plan: LoadPoints →
                 BuildIndex → SequentialExpand
 ``naive``       LoadPoints → BuildIndex → ShuffleExpand → RelabelFilter
@@ -50,7 +56,7 @@ from .stages import (
     SpatialReorder,
     Stage,
 )
-from .stages_cells import CellCollect, CellPartition, LocalIndexExpand
+from .stages_cells import CellPartition, LocalIndexExpand
 from .stages_mapreduce import MRBuildIndex, MRCollect, MRLocalExpand, MRRelabel
 from .stages_naive import NaiveRelabel, ShuffleExpand
 
@@ -76,207 +82,74 @@ class Plan:
         return tuple(s.name for s in self.stages)
 
 
-def spark_plan(config: RunConfig) -> Plan:
-    """The paper's SEED pipeline (Algorithm 2)."""
-    return Plan(
-        name="spark",
-        algo_label="SparkDBSCAN",
-        stages=(
-            LoadPoints(),
-            BuildIndex(),
-            PartitionPlan(),
-            BroadcastModel(),
-            LocalExpand(),
-            CollectPartials(),
-            MergePartials(),
-            RelabelFilter(),
-        ),
-        outputs=("labels", "outcome", "partials"),
-    )
+#: The non-SEED baselines as literal compositions:
+#: name -> (algo_label, stage classes, outputs).
+_BASELINES = {
+    "sequential": (
+        "sequential",
+        (LoadPoints, BuildIndex, SequentialExpand),
+        ("labels",),
+    ),
+    "naive": (
+        "NaiveSparkDBSCAN",
+        (LoadPoints, BuildIndex, ShuffleExpand, NaiveRelabel),
+        ("labels", "propagated"),
+    ),
+    "mapreduce": (
+        "MapReduceDBSCAN",
+        (LoadPoints, MRBuildIndex, PartitionPlan, MRLocalExpand, MRCollect,
+         MRRelabel),
+        ("labels", "mr_round1", "mr_round2"),
+    ),
+}
 
 
-def spatial_plan(config: RunConfig) -> Plan:
-    """The SEED pipeline over spatially-reordered indices (future work)."""
-    return Plan(
-        name="spatial",
-        algo_label="SpatialSparkDBSCAN",
-        stages=(
-            LoadPoints(),
-            SpatialReorder(),
+def _seed_plan(name: str, config: RunConfig) -> Plan:
+    """A SEED plan: LoadPoints, the partitioning prefix, the merge tail,
+    RelabelFilter.  Label and outputs follow the same two choices.
+    """
+    spatial = config.algorithm == "spatial"
+    cells = config.partitioning == "cells"
+    edges = config.merge_mode == "edges"
+    if cells:
+        # No BuildIndex, no BroadcastModel: each executor indexes only
+        # its (owned + halo) payload.
+        prefix: tuple[Stage, ...] = (CellPartition(), LocalIndexExpand())
+    else:
+        prefix = (
+            *((SpatialReorder(),) if spatial else ()),
             # The tree must be built over the *reordered* points, so the
             # build depends on the permutation having been applied.
-            BuildIndex(requires=("points", "perm")),
+            BuildIndex(requires=("points", "perm") if spatial else None),
             PartitionPlan(),
             BroadcastModel(),
             LocalExpand(),
-            CollectPartials(),
-            MergePartials(),
-            RelabelFilter(spatial=True, keep_partials=config.keep_partials),
-        ),
-        outputs=("labels", "outcome", "partials", "perm"),
-    )
-
-
-def cell_plan(config: RunConfig) -> Plan:
-    """The SEED pipeline over cell partitions with partition-local
-    indexes and an eps-halo (``RunConfig(partitioning="cells")``).
-
-    No `BuildIndex`, no `BroadcastModel`: the driver never constructs a
-    global kd-tree and nothing dataset-sized is ever broadcast — each
-    executor indexes only its (owned + halo) payload.
-    """
+        )
+    if edges:
+        tail: tuple[Stage, ...] = (CollectEdges(), MergeEdges(), ApplyGidMap())
+    else:
+        tail = (CollectPartials(), MergePartials())
+    tags = ",".join(t for t, on in (("cells", cells), ("edges", edges)) if on)
     return Plan(
-        name="cell",
-        algo_label="SparkDBSCAN[cells]",
+        name=name,
+        algo_label=("SpatialSparkDBSCAN" if spatial else "SparkDBSCAN")
+        + (f"[{tags}]" if tags else ""),
         stages=(
-            LoadPoints(),
-            CellPartition(),
-            LocalIndexExpand(),
-            CellCollect(),
-            MergePartials(),
-            RelabelFilter(),
+            LoadPoints(), *prefix, *tail,
+            RelabelFilter(spatial=spatial, keep_partials=config.keep_partials),
         ),
-        outputs=("labels", "outcome", "partials"),
+        outputs=("labels", "outcome")
+        + (() if edges else ("partials",))
+        + (("perm",) if spatial else ()),
     )
 
-
-def spark_edges_plan(config: RunConfig) -> Plan:
-    """The SEED pipeline with the edge-based merge tail
-    (``RunConfig(merge_mode="edges")``, DESIGN.md §11).
-
-    Executors cache their expansions and ship only partition digests;
-    the driver union-finds over cluster keys and a second distributed
-    pass applies the broadcast gid map.  Labels are byte-identical to
-    the partial-mode plan.
-    """
-    return Plan(
-        name="spark_edges",
-        algo_label="SparkDBSCAN[edges]",
-        stages=(
-            LoadPoints(),
-            BuildIndex(),
-            PartitionPlan(),
-            BroadcastModel(),
-            LocalExpand(emit="edges"),
-            CollectEdges(),
-            MergeEdges(),
-            ApplyGidMap(),
-            RelabelFilter(),
-        ),
-        outputs=("labels", "outcome"),
-    )
-
-
-def spatial_edges_plan(config: RunConfig) -> Plan:
-    """The spatial SEED pipeline with the edge-based merge tail."""
-    return Plan(
-        name="spatial_edges",
-        algo_label="SpatialSparkDBSCAN[edges]",
-        stages=(
-            LoadPoints(),
-            SpatialReorder(),
-            BuildIndex(requires=("points", "perm")),
-            PartitionPlan(),
-            BroadcastModel(),
-            LocalExpand(emit="edges"),
-            CollectEdges(),
-            MergeEdges(),
-            ApplyGidMap(),
-            # keep_partials is rejected with merge_mode="edges" (no
-            # partials ever reach the driver), so the tail only undoes
-            # the permutation.
-            RelabelFilter(spatial=True),
-        ),
-        outputs=("labels", "outcome", "perm"),
-    )
-
-
-def cell_edges_plan(config: RunConfig) -> Plan:
-    """The cell-partitioned SEED pipeline with the edge-based merge tail.
-
-    Still no dataset-sized broadcast: `ApplyGidMap` broadcasts only the
-    O(partials) gid map.
-    """
-    return Plan(
-        name="cell_edges",
-        algo_label="SparkDBSCAN[cells,edges]",
-        stages=(
-            LoadPoints(),
-            CellPartition(),
-            LocalIndexExpand(emit="edges"),
-            CollectEdges(),
-            MergeEdges(),
-            ApplyGidMap(),
-            RelabelFilter(),
-        ),
-        outputs=("labels", "outcome"),
-    )
-
-
-def sequential_plan(config: RunConfig) -> Plan:
-    """Algorithm 1 as a degenerate single-partition plan."""
-    return Plan(
-        name="sequential",
-        algo_label="sequential",
-        stages=(
-            LoadPoints(),
-            BuildIndex(),
-            SequentialExpand(),
-        ),
-        outputs=("labels",),
-    )
-
-
-def naive_plan(config: RunConfig) -> Plan:
-    """The shuffle-per-round baseline the paper argues against."""
-    return Plan(
-        name="naive",
-        algo_label="NaiveSparkDBSCAN",
-        stages=(
-            LoadPoints(),
-            BuildIndex(),
-            ShuffleExpand(),
-            NaiveRelabel(),
-        ),
-        outputs=("labels", "propagated"),
-    )
-
-
-def mapreduce_plan(config: RunConfig) -> Plan:
-    """Two-round MR-DBSCAN over the mini-MapReduce runtime (Figure 7)."""
-    return Plan(
-        name="mapreduce",
-        algo_label="MapReduceDBSCAN",
-        stages=(
-            LoadPoints(),
-            MRBuildIndex(),
-            PartitionPlan(),
-            MRLocalExpand(),
-            MRCollect(),
-            MRRelabel(),
-        ),
-        outputs=("labels", "mr_round1", "mr_round2"),
-    )
-
-
-PLAN_BUILDERS = {
-    "spark": spark_plan,
-    "spatial": spatial_plan,
-    "cell": cell_plan,
-    "spark_edges": spark_edges_plan,
-    "spatial_edges": spatial_edges_plan,
-    "cell_edges": cell_edges_plan,
-    "sequential": sequential_plan,
-    "naive": naive_plan,
-    "mapreduce": mapreduce_plan,
-}
 
 # Static mirror of the plan compositions above, as stage *class* names.
 # Pure literals on purpose: the whole-program linter (repro.lint.plans)
 # reads this straight off the AST — without importing or executing
 # anything — to verify each plan's requires/provides chain and to
 # derive the SHF001 entry points.  tests/pipeline/test_plans.py asserts
-# it stays in sync with the builders.
+# it stays in sync with `build_plan`.
 STAGE_MANIFEST = {
     "spark": (
         "LoadPoints", "BuildIndex", "PartitionPlan", "BroadcastModel",
@@ -288,7 +161,7 @@ STAGE_MANIFEST = {
         "RelabelFilter",
     ),
     "cell": (
-        "LoadPoints", "CellPartition", "LocalIndexExpand", "CellCollect",
+        "LoadPoints", "CellPartition", "LocalIndexExpand", "CollectPartials",
         "MergePartials", "RelabelFilter",
     ),
     "spark_edges": (
@@ -339,7 +212,6 @@ SIZE_MANIFEST = {
     "LocalExpand": {"input": "O(1)", "output": "O(1)"},
     "LocalIndexExpand": {"input": "O(1)", "output": "O(1)"},
     "CollectPartials": {"input": "O(points)", "output": "O(points)"},
-    "CellCollect": {"input": "O(points)", "output": "O(points)"},
     "CollectEdges": {"input": "O(edges)", "output": "O(edges)"},
     "MergeEdges": {"input": "O(edges)", "output": "O(partials)"},
     "MergePartials": {"input": "O(points)", "output": "O(points)"},
@@ -369,9 +241,11 @@ def plan_name(config: RunConfig) -> str:
 
 
 def build_plan(config: RunConfig) -> Plan:
-    """The plan composition for ``config.algorithm``/``partitioning``."""
-    try:
-        builder = PLAN_BUILDERS[plan_name(config)]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {config.algorithm!r}") from None
-    return builder(config)
+    """The plan composition for ``config.algorithm``/``partitioning``/
+    ``merge_mode``."""
+    name = plan_name(config)
+    if name in _BASELINES:
+        algo_label, stages, outputs = _BASELINES[name]
+        return Plan(name=name, algo_label=algo_label,
+                    stages=tuple(stage() for stage in stages), outputs=outputs)
+    return _seed_plan(name, config)

@@ -202,11 +202,11 @@ class PartitionPlan(Stage):
 # ---------------------------------------------------------------------------
 
 class BroadcastModel(Stage):
-    """Broadcast the tree, parallelize indices, create accumulators.
+    """Broadcast the tree and parallelize the indices.
 
-    The only stage that *creates* engine objects; plans whose downstream
-    stages are all restored from checkpoints skip it, and the resumed run
-    finishes without ever starting a SparkContext.
+    The range plans' only stage that starts the engine; plans whose
+    downstream stages are all restored from checkpoints skip it, and the
+    resumed run finishes without ever starting a SparkContext.
     """
 
     name = "BroadcastModel"
@@ -221,101 +221,90 @@ class BroadcastModel(Stage):
             state.indices = sc.parallelize(
                 range(state.n), state.config.num_partitions
             )
-            state.acc = sc.accumulator(LIST_CONCAT)
-            state.counters_acc = (
-                sc.accumulator(LIST_CONCAT)
-                if state.metrics_registry is not None
-                else None
-            )
             state.timings.setup += time.perf_counter() - t0
 
 
-class LocalExpand(Stage):
-    """Run local DBSCAN with SEED placement on every partition (ll. 4-29).
+def run_expansion(state: PipelineState, expansions) -> None:
+    """The expansion tail shared by `LocalExpand` and `LocalIndexExpand`.
 
-    ``emit="partials"`` (default) ships whole partial clusters through
-    the accumulator.  ``emit="edges"`` keeps the expansion cached in the
-    lineage and ships only each partition's `PartitionDigest`
-    (DESIGN.md §11); `ApplyGidMap` later reuses the cached expansion —
-    or deterministically recomputes it on a cache miss under the
-    processes backend — to label members executor-side.
+    ``expansions`` is the lazy RDD of one `LocalExpansion` per partition.
+    With ``merge_mode="partials"`` each task ships its whole partial
+    clusters through the accumulator as it finishes (Algorithm 2 lines
+    26-28).  With ``"edges"`` the expansion is cached in the lineage and
+    each task ships only its `PartitionDigest` (DESIGN.md §11);
+    `ApplyGidMap` later reuses the cached expansion — or
+    deterministically recomputes it on a cache miss under the processes
+    backend — to label members executor-side.  OpCounters ride a second
+    accumulator when a registry is attached, and the job's task
+    durations become the executor timings.
+    """
+    sc = state.sc
+    acc = state.acc = sc.accumulator(LIST_CONCAT)
+    counters_acc = state.counters_acc = (
+        sc.accumulator(LIST_CONCAT)
+        if state.metrics_registry is not None
+        else None
+    )
+    edges = state.config.merge_mode == "edges"
+    if edges:
+        # Counters/digests ship only from the foreach action below, so a
+        # cache miss in ApplyGidMap's job cannot double-count.
+        expansions = expansions.persist()
+        state.extras["expanded_rdd"] = expansions
+
+    def emit(pid: int, it) -> None:
+        for exp in it:
+            acc.add([partition_digest(exp)] if edges else exp.partials)
+            if counters_acc is not None:
+                counters_acc.add([(pid, exp.counters)])
+
+    expansions.foreach_partition_with_index(emit)
+    durations = sc.last_job_metrics.task_durations()
+    state.timings.executor_task_durations = durations
+    state.timings.executor_total = sum(durations)
+    state.timings.executor_max = max(durations) if durations else 0.0
+
+
+class LocalExpand(Stage):
+    """Run local DBSCAN with SEED placement on every partition (ll. 4-29),
+    over the broadcast global tree; `run_expansion` ships the result.
     """
 
     name = "LocalExpand"
     requires = ("engine", "partitioner")
     provides = ("expanded",)
 
-    def __init__(self, emit: str = "partials"):
-        if emit not in ("partials", "edges"):
-            raise ValueError(f"emit must be 'partials' or 'edges', got {emit!r}")
-        self.emit = emit
-
     def run(self, state: PipelineState) -> None:
         cfg = state.config
         partitioner = state.partitioner
         eps, minpts = cfg.eps, cfg.minpts
         seed_policy, max_neighbors = cfg.seed_policy, cfg.max_neighbors
-        tree_b, acc, counters_acc = state.tree_b, state.acc, state.counters_acc
-        collect_counters = counters_acc is not None
-        track_boundary = self.emit == "edges"
+        tree_b = state.tree_b
+        collect_counters = state.metrics_registry is not None
+        track_boundary = cfg.merge_mode == "edges"
 
-        def expand(pid: int, it) -> LocalExpansion:
+        def expand(pid: int, it):
             # Worker sub-phase spans: no-ops unless the run collects
             # telemetry, merged into the driver trace either way.
             with task_span("task.broadcast_fetch", partition=pid) as bsp:
                 t = tree_b.value
                 bsp.annotate(n=len(t.points))
             counters = OpCounters() if collect_counters else None
-            boundary: set[int] | None = set() if track_boundary else None
+            boundary: set[int] = set()
             with task_span("task.expand", partition=pid) as esp:
                 result = local_dbscan(
                     pid, it, t.points, t, eps, minpts, partitioner,
                     seed_policy=seed_policy, max_neighbors=max_neighbors,
-                    counters=counters, boundary_out=boundary,
+                    counters=counters,
+                    boundary_out=boundary if track_boundary else None,
                 )
                 esp.annotate(partials=len(result))
-            return LocalExpansion(
-                partition=pid, partials=result,
-                boundary=boundary if boundary is not None else set(),
+            yield LocalExpansion(
+                partition=pid, partials=result, boundary=boundary,
                 counters=counters,
             )
 
-        if self.emit == "partials":
-
-            def run_partition(pid: int, it) -> None:
-                exp = expand(pid, it)
-                # Algorithm 2 lines 26-28: ship partial clusters to the
-                # driver through the accumulator as the task finishes.
-                acc.add(exp.partials)
-                if counters_acc is not None:
-                    counters_acc.add([(pid, exp.counters)])
-
-            state.indices.foreach_partition_with_index(run_partition)
-        else:
-
-            def expand_partition(pid: int, it):
-                yield expand(pid, it)
-
-            # Cached executor-side; the digest job below and ApplyGidMap
-            # both consume it.  Counters/digests are shipped only from the
-            # foreach action so a job-2 cache miss cannot double-count.
-            expanded = state.indices.map_partitions_with_index(
-                expand_partition
-            ).persist()
-            state.extras["expanded_rdd"] = expanded
-
-            def emit_digest(pid: int, it) -> None:
-                for exp in it:
-                    acc.add([partition_digest(exp)])
-                    if counters_acc is not None:
-                        counters_acc.add([(pid, exp.counters)])
-
-            expanded.foreach_partition_with_index(emit_digest)
-
-        durations = state.sc.last_job_metrics.task_durations()
-        state.timings.executor_task_durations = durations
-        state.timings.executor_total = sum(durations)
-        state.timings.executor_max = max(durations) if durations else 0.0
+        run_expansion(state, state.indices.map_partitions_with_index(expand))
 
 
 class CollectPartials(Stage):

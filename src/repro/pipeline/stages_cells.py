@@ -18,16 +18,17 @@ with the MR-DBSCAN / dDBGSCAN shape (`repro.dbscan.cells`):
   of the range plan.  No ``sc.broadcast`` call exists anywhere in this
   module; ``tests/pipeline/test_cell_plan.py`` pins that with the
   broadcast-nbytes telemetry.
-- `CellCollect` drains the accumulator exactly like `CollectPartials`,
-  whose founder sort (``members[0]``) matters most here: cell ownership
-  is not contiguous, so the accumulator's partition order differs from
-  the range plan's, but every partial's founder is the smallest core
-  point it covers — sorting restores the global numbering order and the
+- The unchanged `CollectPartials` drains the accumulator; its founder
+  sort (``members[0]``) matters most here: cell ownership is not
+  contiguous, so the accumulator's partition order differs from the
+  range plan's, but every partial's founder is the smallest core point
+  it covers — sorting restores the global numbering order and the
   downstream union-find merge yields labels byte-identical to
   `SparkDBSCAN` (DESIGN.md §10).
 
-The unchanged `MergePartials` + `RelabelFilter` tail completes the
-plan; halo SEEDs feed the same core-seed-containment union-find.
+The unchanged `MergePartials` + `RelabelFilter` tail (or the edge tail,
+``merge_mode="edges"``) completes the plan; halo SEEDs feed the same
+core-seed-containment union-find.
 
 This module is executor-path code under the SHF001 shuffle-free
 contract: registering ``"cell"`` in ``SHUFFLE_FREE_PLANS`` makes these
@@ -40,11 +41,11 @@ import time
 
 import numpy as np
 
-from ..engine import LIST_CONCAT
 from ..dbscan.cells import CellAssignment, build_cell_assignment, cell_local_dbscan
-from ..dbscan.partial import LocalExpansion, OpCounters, partition_digest
+from ..dbscan.partial import LocalExpansion, OpCounters
+from ..obs.collect import task_span
 from .checkpoint import CheckpointStore
-from .stages import CollectPartials, Stage
+from .stages import Stage, run_expansion
 from .state import PipelineState
 
 
@@ -123,17 +124,13 @@ class CellPartition(Stage):
 class LocalIndexExpand(Stage):
     """Per-partition kd-trees over (owned + halo) points — executors
     build their own index from the RDD payload; the driver never holds
-    (let alone broadcasts) a global one.
+    (let alone broadcasts) a global one.  `run_expansion` ships the
+    result.
     """
 
     name = "LocalIndexExpand"
     requires = ("cell_assignment", "points")
     provides = ("engine", "expanded")
-
-    def __init__(self, emit: str = "partials"):
-        if emit not in ("partials", "edges"):
-            raise ValueError(f"emit must be 'partials' or 'edges', got {emit!r}")
-        self.emit = emit
 
     def run(self, state: PipelineState) -> None:
         cfg = state.config
@@ -146,12 +143,6 @@ class LocalIndexExpand(Stage):
                              for p in payloads)
             payload_bytes = sum(p.nbytes for p in payloads)
             state.indices = sc.parallelize(payloads, cfg.num_partitions)
-            state.acc = sc.accumulator(LIST_CONCAT)
-            state.counters_acc = (
-                sc.accumulator(LIST_CONCAT)
-                if state.metrics_registry is not None
-                else None
-            )
             state.timings.setup += time.perf_counter() - t0
             sp.annotate(halo_points=assignment.halo_points_total,
                         halo_nbytes=halo_bytes, payload_nbytes=payload_bytes)
@@ -175,93 +166,31 @@ class LocalIndexExpand(Stage):
         eps, minpts = cfg.eps, cfg.minpts
         leaf_size, seed_policy = cfg.leaf_size, cfg.seed_policy
         max_neighbors = cfg.max_neighbors
-        acc, counters_acc = state.acc, state.counters_acc
-        collect_counters = counters_acc is not None
-        track_boundary = self.emit == "edges"
+        collect_counters = state.metrics_registry is not None
+        track_boundary = cfg.merge_mode == "edges"
 
-        def expand(pid: int, it) -> LocalExpansion:
-            from ..obs.collect import task_span
-
+        def expand(pid: int, it):
+            # `payloads` has one entry per partition, and `parallelize`
+            # slices it one per task: unpacking fails loudly otherwise.
+            (payload,) = it
             counters = OpCounters() if collect_counters else None
-            boundary: set[int] | None = set() if track_boundary else None
-            result = []
+            boundary: set[int] = set()
             with task_span("task.expand", partition=pid) as esp:
-                n_own = n_halo = 0
-                for payload in it:
-                    n_own += len(payload.owned_ids)
-                    n_halo += len(payload.halo_ids)
-                    result.extend(cell_local_dbscan(
-                        payload, eps, minpts, leaf_size=leaf_size,
-                        seed_policy=seed_policy, max_neighbors=max_neighbors,
-                        counters=counters, boundary_out=boundary,
-                    ))
-                if track_boundary:
-                    # A partition may aggregate several payloads whose
-                    # partials restart local_id at 0; renumber so the
-                    # (partition, local_id) cid is unique in the digest.
-                    for k, c in enumerate(result):
-                        c.local_id = k
-                esp.annotate(partials=len(result), n_own=n_own,
-                             n_halo=n_halo)
-            return LocalExpansion(
-                partition=pid, partials=result,
-                boundary=boundary if boundary is not None else set(),
+                result = cell_local_dbscan(
+                    payload, eps, minpts, leaf_size=leaf_size,
+                    seed_policy=seed_policy, max_neighbors=max_neighbors,
+                    counters=counters,
+                    boundary_out=boundary if track_boundary else None,
+                )
+                esp.annotate(partials=len(result),
+                             n_own=len(payload.owned_ids),
+                             n_halo=len(payload.halo_ids))
+            yield LocalExpansion(
+                partition=pid, partials=result, boundary=boundary,
                 counters=counters,
             )
 
-        if self.emit == "partials":
-
-            def run_partition(pid: int, it) -> None:
-                exp = expand(pid, it)
-                # Partial clusters ship to the driver through the
-                # accumulator as the task finishes, like the range plan.
-                acc.add(exp.partials)
-                if counters_acc is not None:
-                    counters_acc.add([(pid, exp.counters)])
-
-            state.indices.foreach_partition_with_index(run_partition)
-        else:
-
-            def expand_partition(pid: int, it):
-                yield expand(pid, it)
-
-            # Cached executor-side; digests ship from the foreach action
-            # only, so a cache miss under processes cannot double-count.
-            expanded = state.indices.map_partitions_with_index(
-                expand_partition
-            ).persist()
-            state.extras["expanded_rdd"] = expanded
-
-            def emit_digest(pid: int, it) -> None:
-                for exp in it:
-                    acc.add([partition_digest(exp)])
-                    if counters_acc is not None:
-                        counters_acc.add([(pid, exp.counters)])
-
-            expanded.foreach_partition_with_index(emit_digest)
-
-        durations = state.sc.last_job_metrics.task_durations()
-        state.timings.executor_task_durations = durations
-        state.timings.executor_total = sum(durations)
-        state.timings.executor_max = max(durations) if durations else 0.0
+        run_expansion(state, state.indices.map_partitions_with_index(expand))
 
 
-class CellCollect(CollectPartials):
-    """`CollectPartials`, which founder-sorts (see the module docstring).
-
-    Cell ownership is not contiguous, so partials arrive grouped by
-    partition in an order unrelated to their point ids; the founder sort
-    (now the base class's canonical order, since accumulator arrival is
-    completion-ordered on the parallel backends too) makes the list —
-    and therefore global cluster numbering and every downstream artifact
-    — deterministic and identical to the range plan's.  Kept as its own
-    class so the cell plan's manifest names its collect step.
-    """
-
-    name = "CollectPartials"
-    requires = ("expanded", "engine")
-    provides = ("partials",)
-    checkpointable = True
-
-
-__all__ = ["CellCollect", "CellPartition", "LocalIndexExpand"]
+__all__ = ["CellPartition", "LocalIndexExpand"]

@@ -192,7 +192,7 @@ def cell_assignment(
         pi, pj = int(cell_pid[i]), int(cell_pid[j])
         if pi == pj:
             continue
-        idx = grid.cell_points[j]
+        idx = grid.order[grid.starts[j]:grid.starts[j + 1]]
         q = grid.points[idx]
         lo = grid.cells[i] * eps
         hi = lo + eps

@@ -33,9 +33,9 @@ class TestCellGrid:
         pts = rng.uniform(0, 100, (300, 3))
         grid = CellGrid(pts, eps=10.0)
         assert int(grid.counts.sum()) == 300
-        seen = np.concatenate(grid.cell_points)
-        assert sorted(seen.tolist()) == list(range(300))
-        for ci, idx in enumerate(grid.cell_points):
+        assert sorted(grid.order.tolist()) == list(range(300))
+        for ci in range(grid.num_cells):
+            idx = grid.order[grid.starts[ci]:grid.starts[ci + 1]]
             # Ascending global index within each cell (the determinism
             # contract), and every point binned to its own coordinates.
             assert (np.diff(idx) > 0).all() or len(idx) <= 1
@@ -72,11 +72,15 @@ class TestCellGrid:
         assert_adjacency_matches_brute_force(grid)
 
     def test_csr_matches_cell_points(self):
+        # The CSR against a per-cell scan of the point-to-cell map.
         rng = np.random.default_rng(3)
         grid = CellGrid(rng.uniform(0, 30, (200, 3)), eps=4.0)
-        for c, idx in enumerate(grid.cell_points):
+        assert grid.starts[-1] == grid.n
+        for c in range(grid.num_cells):
             got = grid.order[grid.starts[c]:grid.starts[c + 1]]
-            np.testing.assert_array_equal(got, idx)
+            np.testing.assert_array_equal(
+                got, np.flatnonzero(grid.cell_of_point == c)
+            )
 
 
 @settings(max_examples=40, deadline=None)

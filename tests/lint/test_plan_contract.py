@@ -168,5 +168,5 @@ class TestRepoManifest:
         assert check_plan_contracts(project) == []
         assert shuffle_free_stage_classes(project) >= {
             "LoadPoints", "LocalExpand", "CollectPartials", "MergePartials",
-            "CellPartition", "LocalIndexExpand", "CellCollect",
+            "CellPartition", "LocalIndexExpand",
         }

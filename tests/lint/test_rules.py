@@ -375,11 +375,9 @@ class TestTelemetryAllowances:
 
 
 class TestSelfScan:
-    def test_repo_src_is_clean(self):
+    def test_repo_src_is_clean(self, src_lint_report):
         """The shipped code must satisfy its own analyzer."""
-        from repro.lint import run_lint
-
-        report = run_lint(["src"], baseline_path=None)
+        report = src_lint_report
         assert report.findings == [], "\n" + report.render_text()
         assert report.files_scanned > 50
 

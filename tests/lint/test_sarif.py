@@ -147,9 +147,9 @@ class TestSchemaValidation:
         log, _report = sarif_log
         jsonschema.validate(instance=log, schema=schema)
 
-    def test_self_scan_sarif_validates(self):
+    def test_self_scan_sarif_validates(self, src_lint_report):
         jsonschema = pytest.importorskip("jsonschema")
         with open(SCHEMA_PATH, encoding="utf-8") as f:
             schema = json.load(f)
-        log = to_sarif(run_lint(["src"]))
+        log = to_sarif(src_lint_report)
         jsonschema.validate(instance=log, schema=schema)

@@ -316,9 +316,10 @@ class TestAcceptanceSeeds:
         shutil.copytree("src/repro", tmp_path / "src" / "repro")
         return tmp_path / "src"
 
-    def test_unseeded_tree_is_clean(self, tree):
-        report = run_lint([str(tree)])
-        assert not [f for f in report.findings if f.rule.startswith("SCL")]
+    def test_unseeded_tree_is_clean(self, src_lint_report):
+        assert not [
+            f for f in src_lint_report.findings if f.rule.startswith("SCL")
+        ]
 
     def test_points_collect_in_merge_fires_scl004(self, tree):
         _insert_into(
@@ -344,10 +345,10 @@ class TestAcceptanceSeeds:
 
     def test_removing_a_pragma_resurfaces_its_finding_only(self, tree):
         # The committed pragmas are line-scoped: dropping the one on the
-        # cell_points grouping brings back exactly that site's findings.
+        # grid's CSR ``order`` brings back exactly that site's finding.
         cells = tree / "repro" / "dbscan" / "cells.py"
         src = cells.read_text()
-        target = "  # lint: allow[SCL001,SCL002] ROADMAP item 1"
+        target = "self.order = np.argsort(inverse, kind=\"stable\")  # lint: allow[SCL001]"
         assert target in src
         line = next(
             s for s in src.splitlines() if target in s
@@ -355,7 +356,7 @@ class TestAcceptanceSeeds:
         cells.write_text(src.replace(line, line.split("  # lint")[0]))
         report = run_lint([str(tree)])
         scl = [f for f in report.findings if f.rule.startswith("SCL")]
-        assert {f.rule for f in scl} == {"SCL001", "SCL002"}
+        assert {f.rule for f in scl} == {"SCL001"}
         assert {f.line for f in scl} == {scl[0].line}, (
             "other pragma'd sites must stay suppressed"
         )

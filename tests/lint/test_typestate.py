@@ -386,10 +386,9 @@ class TestFlowStats:
 
 
 class TestSelfScan:
-    def test_src_repro_is_clean_under_flow_rules(self):
-        report = run_lint([os.path.join(REPO_ROOT, "src", "repro")])
+    def test_src_repro_is_clean_under_flow_rules(self, src_lint_report):
         flow = [
-            f for f in report.findings
+            f for f in src_lint_report.findings
             if f.rule.startswith(("LIF", "RES"))
         ]
         assert flow == [], "\n".join(f.render() for f in flow)
